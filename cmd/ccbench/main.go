@@ -49,7 +49,7 @@ func main() {
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut    = flag.Bool("json", false, "emit newline-delimited JSON, one object per grid cell plus perf records")
 		seed       = flag.Int64("seed", 42, "simulation seed")
-		shards     = flag.Int("shards", 0, "run microbenchmark cells on the sharded parallel runtime at this width (0 = plain single-threaded scheduler; TPC-C cells always stay plain)")
+		shards     = flag.Int("shards", 0, "run microbenchmark cells on the sharded parallel runtime at this width (0 = omit WithParallelism, a width-1 run; TPC-C cells always run at width 1)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		baseline   = flag.String("baseline", "", "BENCH_*.json file to compare cell throughput against")
 		tolerance  = flag.Float64("tolerance", 0.25, "relative throughput drop vs -baseline that fails the run")
@@ -164,15 +164,20 @@ func run(exps []bench.Experiment, opts bench.Opts, base []bench.BaselineCell,
 	}
 
 	if base != nil {
-		if bad := bench.CompareBaseline(base, fresh, tolerance); len(bad) > 0 {
+		bad, compared := bench.CompareBaseline(base, fresh, tolerance)
+		if len(bad) > 0 {
 			fmt.Fprintf(os.Stderr, "ccbench: %d regression(s) vs %s:\n", len(bad), baseline)
 			for _, m := range bad {
 				fmt.Fprintf(os.Stderr, "  %s\n", m)
 			}
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "ccbench: %d cells within %.0f%% of %s\n",
-			len(fresh), tolerance*100, baseline)
+		if compared == 0 {
+			fmt.Fprintf(os.Stderr, "ccbench: no fresh cell has a counterpart in %s; nothing was compared\n", baseline)
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "ccbench: %d cells compared, all within %.0f%% of %s; %d fresh cells not in the baseline\n",
+			compared, tolerance*100, baseline, len(fresh)-compared)
 	}
 	return 0
 }

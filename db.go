@@ -159,10 +159,7 @@ func DefaultCosts() CostModel { return costs.Default() }
 type DB struct {
 	cfg       settings
 	costModel CostModel
-	sch       sim.Runtime
-	// shsch is the sharded runtime when WithParallelism is configured (the
-	// same object sch points at); nil on the single-threaded path.
-	shsch     *sim.ShardedScheduler
+	sch       *sim.ShardedScheduler
 	net       *simnet.Net
 	parts     []*partition.Partition
 	partIDs   []sim.ActorID
@@ -261,16 +258,14 @@ func Open(opts ...Option) (*DB, error) {
 	cat := cfg.catalogOrDefault()
 
 	db := &DB{cfg: cfg, costModel: cfg.costs}
-	if cfg.parallel != nil {
-		hz := cfg.parallel.Horizon
-		if hz == 0 {
-			hz = cfg.costs.OneWayLatency
+	width, hz := 1, cfg.costs.OneWayLatency
+	if p := cfg.parallel; p != nil {
+		width = p.Shards
+		if p.Horizon != 0 {
+			hz = p.Horizon
 		}
-		db.shsch = sim.NewSharded(cfg.parallel.Shards, hz)
-		db.sch = db.shsch
-	} else {
-		db.sch = sim.New()
 	}
+	db.sch = sim.NewSharded(width, hz)
 	db.net = simnet.New(db.costModel.OneWayLatency)
 
 	end := cfg.warmup + cfg.measure
@@ -304,7 +299,7 @@ func Open(opts ...Option) (*DB, error) {
 		if cfg.durable != nil {
 			diskID := db.sch.Register(fmt.Sprintf("disk-%d", p),
 				&durable.Disk{Latency: durCfg.DiskLatency, Bandwidth: durCfg.DiskBandwidth})
-			db.assign(diskID, db.groupShard(p))
+			db.sch.Assign(diskID, db.groupShard(p))
 			lg = durable.NewLogger(durCfg, diskID)
 			db.loggers[p] = lg
 		}
@@ -326,7 +321,7 @@ func Open(opts ...Option) (*DB, error) {
 			History:       hist,
 		})
 		id := db.sch.Register(fmt.Sprintf("partition-%d", p), part)
-		db.assign(id, db.groupShard(p))
+		db.sch.Assign(id, db.groupShard(p))
 		if lg != nil {
 			lg.Bind(id)
 			lg.InstallInitial(store)
@@ -352,7 +347,7 @@ func Open(opts ...Option) (*DB, error) {
 			b.Timeout = det.Timeout
 			b.Rec = db.collector
 			id := db.sch.Register(fmt.Sprintf("backup-%d-%d", p, r), b)
-			db.assign(id, db.groupShard(p))
+			db.sch.Assign(id, db.groupShard(p))
 			b.Bind(id)
 			ids = append(ids, id)
 			db.backups[p] = append(db.backups[p], b)
@@ -376,8 +371,7 @@ func Open(opts ...Option) (*DB, error) {
 	db.coord = coordinator.New(cfg.registry, cat, &db.costModel, db.net,
 		append([]sim.ActorID(nil), db.partIDs...))
 	db.coord.Rec = db.collector
-	db.coordID = db.sch.Register("coordinator", db.coord)
-	db.assign(db.coordID, 0)
+	db.coordID = db.sch.Register("coordinator", db.coord) // on shard 0
 	db.coord.Bind(db.coordID)
 	for p := range db.backups {
 		for _, b := range db.backups[p] {
@@ -397,7 +391,7 @@ func Open(opts ...Option) (*DB, error) {
 		r.Coordinator = db.coordID
 		r.Rec = db.collector
 		id := db.sch.Register(fmt.Sprintf("restarter-%d", p), r)
-		db.assign(id, db.groupShard(p))
+		db.sch.Assign(id, db.groupShard(p))
 		r.Bind(id)
 		db.restarters[p] = r
 		db.restarterIDs[p] = id
@@ -449,7 +443,7 @@ func Open(opts ...Option) (*DB, error) {
 			}
 		}
 		id := db.sch.Register(fmt.Sprintf("client-%d", i), cl)
-		db.assign(id, db.clientShard(i))
+		db.sch.Assign(id, db.clientShard(i))
 		cl.Bind(id, cfg.seed*1_000_003+int64(i)*7919+1)
 		db.clients = append(db.clients, cl)
 		db.clientIDs = append(db.clientIDs, id)
@@ -458,17 +452,10 @@ func Open(opts ...Option) (*DB, error) {
 	if len(cfg.faults) > 0 {
 		ctl := &fault.Controller{
 			Rec:          db.collector,
-			Primaries:    db.partIDs,
-			Backups:      db.backupIDs,
 			Restarters:   db.restarterIDs,
 			RestartDelay: det.Timeout,
-			// On the sharded runtime crashes are pre-registered as KillAt
-			// markers in the victim's shard (see ensureStarted); the
-			// controller only records metrics and drives restarts.
-			SkipKill: db.shsch != nil,
 		}
-		db.faultCtlID = db.sch.Register("fault-controller", ctl)
-		db.assign(db.faultCtlID, 0)
+		db.faultCtlID = db.sch.Register("fault-controller", ctl) // on shard 0
 	}
 	if cfg.advisor != nil {
 		db.adv = advisor.New(*cfg.advisor)
@@ -496,35 +483,20 @@ func Open(opts ...Option) (*DB, error) {
 	return db, nil
 }
 
-// assign places an actor on a shard of the parallel runtime; it is a no-op
-// on the single-threaded path. Placement happens immediately after
-// registration, before any event is scheduled.
-func (db *DB) assign(id sim.ActorID, shard int) {
-	if db.shsch != nil {
-		db.shsch.Assign(id, shard)
-	}
-}
-
 // groupShard maps partition p's whole process group — primary, backups, log
 // disk, restarter — onto one shard, striping the groups evenly. Co-locating
 // the group keeps its zero-latency edges (partition↔disk) and sub-horizon
 // timers intra-shard; only network traffic (one-way latency ≥ Horizon)
 // crosses shards.
 func (db *DB) groupShard(p int) int {
-	if db.shsch == nil {
-		return 0
-	}
-	return p * db.shsch.NumShards() / db.cfg.partitions
+	return p * db.sch.NumShards() / db.cfg.partitions
 }
 
 // clientShard stripes clients over shards. Clients talk to partitions and
 // the coordinator exclusively through the network, so any placement is
 // deterministic; striping balances their virtual CPU.
 func (db *DB) clientShard(i int) int {
-	if db.shsch == nil {
-		return 0
-	}
-	return i * db.shsch.NumShards() / db.cfg.clients
+	return i * db.sch.NumShards() / db.cfg.clients
 }
 
 // shapeWorkload tells a shape-aware generator what it is feeding: client
@@ -569,21 +541,15 @@ func (db *DB) ensureStarted() {
 	// deterministic stop condition, so the event queue still drains.
 	for _, ev := range db.cfg.faults {
 		db.sch.SendAt(ev.At, db.faultCtlID, ev)
-		if db.shsch != nil {
-			// Sharded runtime: the kill must land in the victim's own shard
-			// (a cross-shard Kill inside a window would race). The schedule
-			// is static, so pre-register a kill marker at the fault time; the
-			// controller records metrics and drives restarts but skips the
-			// kill itself (fault.Controller.SkipKill).
-			var victim sim.ActorID
-			switch ev.Kind {
-			case fault.KindCrashBackup:
-				victim = db.backupIDs[ev.Partition][ev.Replica-1]
-			default:
-				victim = db.partIDs[ev.Partition]
-			}
-			db.shsch.KillAt(ev.At, victim)
+		// The kill must land in the victim's own shard (a kill from the
+		// controller's shard inside a window would race). The schedule is
+		// static, so pre-register a kill marker at the fault time; the
+		// controller records metrics and drives restarts.
+		victim := db.partIDs[ev.Partition]
+		if ev.Kind == fault.KindCrashBackup {
+			victim = db.backupIDs[ev.Partition][ev.Replica-1]
 		}
+		db.sch.KillAt(ev.At, victim)
 		switch ev.Kind {
 		case fault.KindCrashPrimary:
 			db.sch.SendAt(0, db.partIDs[ev.Partition], msg.StartPulse{})
@@ -667,9 +633,12 @@ func (db *DB) Now() Time { return db.cursor }
 // Stop halts the drive call in progress (Run, RunFor, RunUntil) after the
 // current event completes. It is intended for callbacks running inside a
 // drive call — e.g. a WithOnComplete observer stopping the run once a
-// scripted condition is met. The stop is sticky: every drive call returns
-// immediately (reporting the state so far) until Resume clears it, after
-// which driving continues from exactly where it stopped.
+// scripted condition is met. With WithParallelism at more than one shard,
+// other shards are mid-window concurrently, so the run halts instead at the
+// next window barrier (the same point at every width above 1). The stop is
+// sticky: every drive call returns immediately (reporting the state so far)
+// until Resume clears it, after which driving continues from exactly where
+// it stopped.
 func (db *DB) Stop() { db.sch.Stop() }
 
 // Resume clears a Stop, so subsequent drive calls process events again.
@@ -1237,9 +1206,9 @@ func (db *DB) snapshot(advance bool) Metrics {
 		FailoverResends: db.collector.FailoverResends,
 		Restarts:        db.collector.Restarts(),
 	}
-	if db.shsch != nil {
-		m.Barriers = db.shsch.Barriers()
-		m.CrossShardMsgs = db.shsch.CrossShardMsgs()
+	if db.cfg.parallel != nil {
+		m.Barriers = db.sch.Barriers()
+		m.CrossShardMsgs = db.sch.CrossShardMsgs()
 	}
 	d := tot.Sub(db.snapCounts)
 	dl := db.collector.TotalLat.Sub(db.snapLat)

@@ -339,6 +339,6 @@ func ExampleWithElasticity() {
 	}
 	fmt.Printf("total dip %v over %d migrations\n", res.MigrationDip, len(res.Migrations))
 	// Output:
-	// migration: partition 0 -> 3, 48 rows, dip 1232.817µs
-	// total dip 1232.817µs over 1 migrations
+	// migration: partition 0 -> 3, 48 rows, dip 1284.817µs
+	// total dip 1284.817µs over 1 migrations
 }

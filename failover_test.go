@@ -392,3 +392,46 @@ func TestStopResume(t *testing.T) {
 		t.Error("resumed run did not finish the workload")
 	}
 }
+
+// TestStopAfterCompletionSweep pins DB.Stop's "after the current event
+// completes" contract over many stop points: a completion callback that
+// stops the run after N completions must see exactly N, whatever the scheme
+// and wherever N falls inside the kernel's time windows.
+func TestStopAfterCompletionSweep(t *testing.T) {
+	const clients, perClient = 8, 40
+	for _, scheme := range []Scheme{Blocking, Speculation, Locking} {
+		for stopAfter := 1; stopAfter <= 295; stopAfter += 7 {
+			var completions int
+			var db *DB
+			reg := NewRegistry()
+			reg.Register(kvstore.Proc{})
+			db, err := Open(
+				WithPartitions(2),
+				WithClients(clients),
+				WithScheme(scheme),
+				WithRegistry(reg),
+				WithSetup(func(p PartitionID, s *Store) {
+					kvstore.AddSchema(s)
+					kvstore.Load(s, p, clients, 4)
+				}),
+				WithWorkloadFactory(func() Generator {
+					return &workload.Limit{Gen: &workload.Micro{Partitions: 2, KeysPerTxn: 4}, N: clients * perClient}
+				}),
+				WithOnComplete(func(ci int, inv *Invocation, reply *Reply) {
+					completions++
+					if completions == stopAfter {
+						db.Stop()
+					}
+				}),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.Run()
+			if !db.Stopped() || completions != stopAfter {
+				t.Errorf("%v: stopped=%v after %d completions, want a stop after exactly %d",
+					scheme, db.Stopped(), completions, stopAfter)
+			}
+		}
+	}
+}

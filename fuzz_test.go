@@ -33,11 +33,10 @@ type fuzzConfig struct {
 	readFrac   float64
 	scanFrac   float64
 	adaptive   bool
-	// shards is the WithParallelism width: 0 omits the option entirely
-	// (the plain single-threaded scheduler, the legacy tie-break order),
-	// >= 1 runs the sharded runtime at that width. Sharded Results must be
-	// identical at every width; the plain path has its own (also
-	// deterministic) event order.
+	// shards is the WithParallelism width: 0 omits the option entirely,
+	// which runs the same kernel at width 1 with no Result.Parallel, so 0
+	// and 1 select the same event order; >= 1 sets the width. Results must
+	// be identical at every width.
 	shards int
 	// elastic turns on WithElasticity with the default auto trigger:
 	// migrations (and their command-log records, under durable) join the
@@ -286,8 +285,8 @@ func FuzzDeterminism(f *testing.F) {
 			t.Fatalf("same options, different Results:\n%+v\nvs\n%+v\nconfig %+v", a, b, c)
 		}
 		if c.shards > 1 {
-			// Width equivalence: the same configuration on the
-			// single-threaded scheduler must produce the same Result.
+			// Width equivalence: the same configuration at width 1
+			// must produce the same Result.
 			// Parallel is the one legitimately width-dependent field.
 			c1 := c
 			c1.shards = 1

@@ -23,11 +23,10 @@ type BaselineCell struct {
 	Series     string  `json:"series"`
 	X          float64 `json:"x"`
 	Y          float64 `json:"y"`
-	// Shards is the runtime width behind the cell. Zero (baselines
-	// recorded before the sharded runtime existed) and one (the plain
-	// scheduler) share a key: throughputs on the two paths agree to well
-	// within any useful tolerance, and folding them keeps old BENCH_*.json
-	// files comparable.
+	// Shards is the runtime width behind the cell. Zero (cells recorded
+	// without the field, as in BENCH_4.json) and one share a key: every run
+	// without WithParallelism is a width-1 run, so folding them keeps such
+	// baseline files comparable.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -91,15 +90,15 @@ func SeriesCells(e Experiment, series []Series) []BaselineCell {
 // baseline of one experiment against a run of another must not demand cells
 // the run never produced. Fresh cells absent from the baseline pass — new
 // experiments extend the grid. It returns one message per violation, in
-// fresh-cell order.
-func CompareBaseline(baseline, fresh []BaselineCell, tol float64) []string {
+// fresh-cell order, and the number of fresh cells that had a baseline
+// counterpart and were therefore actually compared.
+func CompareBaseline(baseline, fresh []BaselineCell, tol float64) (bad []string, compared int) {
 	base := make(map[string]BaselineCell, len(baseline))
 	for _, c := range baseline {
 		base[c.key()] = c
 	}
 	ranExp := make(map[string]bool)
 	seen := make(map[string]bool)
-	var bad []string
 	for _, f := range fresh {
 		ranExp[f.Experiment] = true
 		b, ok := base[f.key()]
@@ -107,6 +106,7 @@ func CompareBaseline(baseline, fresh []BaselineCell, tol float64) []string {
 			continue
 		}
 		seen[f.key()] = true
+		compared++
 		if f.Y < (1-tol)*b.Y {
 			bad = append(bad, fmt.Sprintf("%s: %.1f is %.1f%% below baseline %.1f (tolerance %.0f%%)",
 				f.key(), f.Y, 100*(1-f.Y/b.Y), b.Y, 100*tol))
@@ -117,5 +117,5 @@ func CompareBaseline(baseline, fresh []BaselineCell, tol float64) []string {
 			bad = append(bad, fmt.Sprintf("%s: baseline cell missing from fresh run", c.key()))
 		}
 	}
-	return bad
+	return bad, compared
 }

@@ -29,15 +29,11 @@ type Opts struct {
 	// Coarse reduces the number of x-axis points.
 	Coarse bool
 	Seed   int64
-	// Shards >= 1 runs every microbenchmark-family cell on the sharded
-	// parallel runtime (specdb.WithParallelism) at that width; zero keeps
-	// the plain single-threaded scheduler. Width 1 is the sharded runtime's
-	// single-shard mode — deterministically equivalent to every other
-	// width, but with a different (also deterministic) event tie-break
-	// order than the plain scheduler, so baselines recorded on one path
-	// are only tolerance-compatible with the other. TPC-C cells ignore the
-	// knob: tpcc.Mix keeps state across clients and is restricted to the
-	// plain path.
+	// Shards >= 1 runs every microbenchmark-family cell with
+	// specdb.WithParallelism at that width; zero omits the option, which
+	// runs the same kernel at width 1 without reporting Result.Parallel.
+	// Results are identical at every width. TPC-C cells ignore the knob:
+	// tpcc.Mix keeps state across clients and needs a single shard.
 	Shards int
 	// Tally, when non-nil, accumulates every cell's events and completed
 	// transactions as the experiment runs — the simulator-side half of the
@@ -70,10 +66,10 @@ type Point struct {
 	ReplayTxns    uint64
 	DipMs         float64
 	RowsMoved     uint64
-	// Shards is the runtime width behind the cell (1 for the plain
-	// scheduler) and Barriers the sharded runtime's window count (zero on
-	// the plain path). Zero Shards marks model-curve points with no
-	// simulated cell behind them.
+	// Shards is the runtime width behind the cell (1 without
+	// WithParallelism) and Barriers the runtime's window count (reported
+	// only under WithParallelism, zero otherwise). Zero Shards marks
+	// model-curve points with no simulated cell behind them.
 	Shards   int
 	Barriers uint64
 }

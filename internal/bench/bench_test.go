@@ -155,27 +155,56 @@ func TestCompareBaseline(t *testing.T) {
 	}
 	// Within tolerance, above baseline, and a baseline-only cell from an
 	// experiment that was not re-run: all pass.
-	// Fresh cells carry Shards 1 (the plain scheduler): they must fold onto
-	// the pre-sharding baseline's zero-valued cells.
+	// Fresh cells carry Shards 1 (a width-1 run): they must fold onto the
+	// baseline's zero-valued cells.
 	fresh := []BaselineCell{
 		{"fig4", "Speculation", 0, 800, 1},
 		{"fig4", "Speculation", 50, 700, 1},
 		{"fig4", "NewSeries", 0, 1, 1}, // not in baseline: ignored
 	}
-	if bad := CompareBaseline(base, fresh, 0.25); len(bad) != 0 {
+	if bad, _ := CompareBaseline(base, fresh, 0.25); len(bad) != 0 {
 		t.Fatalf("unexpected regressions: %v", bad)
 	}
 	// A drop beyond tolerance fails.
 	fresh[0].Y = 700
-	bad := CompareBaseline(base, fresh, 0.25)
+	bad, _ := CompareBaseline(base, fresh, 0.25)
 	if len(bad) != 1 || !strings.Contains(bad[0], "fig4/Speculation/x=0") {
 		t.Fatalf("regressions = %v, want one for fig4/Speculation/x=0", bad)
 	}
 	// A baseline cell that vanished from a re-run experiment fails.
 	fresh[0].Y = 1000
-	bad = CompareBaseline(base, fresh[:1], 0.25)
+	bad, _ = CompareBaseline(base, fresh[:1], 0.25)
 	if len(bad) != 1 || !strings.Contains(bad[0], "missing from fresh run") {
 		t.Fatalf("regressions = %v, want one missing-cell failure", bad)
+	}
+}
+
+// TestCompareBaselineCountsComparedCells: when the baseline and the fresh
+// run only partly overlap, the compared count covers exactly the fresh cells
+// with a baseline counterpart — not every fresh cell, and not every baseline
+// cell — so a summary built on it cannot overstate what the gate checked.
+func TestCompareBaselineCountsComparedCells(t *testing.T) {
+	base := []BaselineCell{
+		{"fig4", "Speculation", 0, 1000, 0},
+		{"fig4", "Speculation", 50, 500, 0},
+		{"fig9", "Locking", 0, 800, 0}, // experiment not re-run
+	}
+	fresh := []BaselineCell{
+		{"fig4", "Speculation", 0, 1000, 1},
+		{"fig4", "Speculation", 50, 500, 1},
+		{"fig4", "Blocking", 0, 900, 1},     // series not in the baseline
+		{"fig5", "Locking", 10, 700, 1},     // experiment not in the baseline
+		{"fig4", "Speculation", 0, 1000, 2}, // other width: a new cell
+	}
+	bad, compared := CompareBaseline(base, fresh, 0.25)
+	if len(bad) != 0 {
+		t.Fatalf("unexpected regressions: %v", bad)
+	}
+	if compared != 2 {
+		t.Fatalf("compared = %d, want 2 of %d fresh cells", compared, len(fresh))
+	}
+	if _, compared := CompareBaseline(base, fresh[2:], 0.25); compared != 0 {
+		t.Fatalf("disjoint cells: compared = %d, want 0", compared)
 	}
 }
 
@@ -208,7 +237,7 @@ func TestBaselineKeyStabilityElasticCells(t *testing.T) {
 	if a.key() != b.key() {
 		t.Fatalf("migration payload leaked into the cell key: %q vs %q", a.key(), b.key())
 	}
-	if bad := CompareBaseline([]BaselineCell{a}, []BaselineCell{b}, 0.01); len(bad) != 0 {
+	if bad, _ := CompareBaseline([]BaselineCell{a}, []BaselineCell{b}, 0.01); len(bad) != 0 {
 		t.Fatalf("same-throughput cells flagged: %v", bad)
 	}
 	other := a
@@ -247,10 +276,10 @@ func TestCommittedBaselinesRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bad := CompareBaseline(orig, again, 0); len(bad) != 0 {
+			if bad, _ := CompareBaseline(orig, again, 0); len(bad) != 0 {
 				t.Fatalf("round trip vs original: %v", bad)
 			}
-			if bad := CompareBaseline(again, orig, 0); len(bad) != 0 {
+			if bad, _ := CompareBaseline(again, orig, 0); len(bad) != 0 {
 				t.Fatalf("original vs round trip: %v", bad)
 			}
 		})

@@ -65,7 +65,7 @@ func (s *sink) decisions() []*msg.Decision {
 }
 
 type fixture struct {
-	s      *sim.Scheduler
+	s      *sim.ShardedScheduler
 	cl     *Client
 	clID   sim.ActorID
 	parts  []*sink
@@ -76,7 +76,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, scheme core.Scheme, rounds int, invs []*txn.Invocation) *fixture {
 	t.Helper()
-	f := &fixture{s: sim.New()}
+	f := &fixture{s: sim.NewSharded(1, sim.Microsecond)}
 	reg := txn.NewRegistry()
 	reg.Register(stubProc{rounds: rounds})
 	cm := costs.Default()
@@ -294,7 +294,7 @@ func (p fixedProc) Continue(args any, round int, prior []msg.FragmentResult, cat
 // the Fragment message the closed loop also pays for. Arrival ticks, the
 // pending queue, the attempt freelist and reply handling add nothing.
 func TestOpenLoopIssuePathAllocations(t *testing.T) {
-	s := sim.New()
+	s := sim.NewSharded(1, sim.Microsecond)
 	reg := txn.NewRegistry()
 	part := &echoPart{}
 	partID := s.Register("p", part)

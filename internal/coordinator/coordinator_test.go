@@ -70,7 +70,7 @@ func (p twoPartProc) Output(args any, final []msg.FragmentResult) any {
 }
 
 type harness struct {
-	s       *sim.Scheduler
+	s       *sim.ShardedScheduler
 	coord   *Coordinator
 	coordID sim.ActorID
 	parts   []*capture
@@ -81,7 +81,7 @@ type harness struct {
 
 func newHarness(t *testing.T, rounds int) *harness {
 	t.Helper()
-	h := &harness{s: sim.New()}
+	h := &harness{s: sim.NewSharded(1, sim.Microsecond)}
 	reg := txn.NewRegistry()
 	reg.Register(twoPartProc{rounds: rounds})
 	cm := costs.Default()

@@ -42,8 +42,8 @@ func (o *owner) Receive(ctx *sim.Context, m sim.Message) {
 }
 
 // rig wires a scheduler, disk actor, and logger-owning test actor.
-func rig(cfg Config) (*sim.Scheduler, *owner, sim.ActorID) {
-	s := sim.New()
+func rig(cfg Config) (*sim.ShardedScheduler, *owner, sim.ActorID) {
+	s := sim.NewSharded(1, sim.Microsecond)
 	disk := s.Register("disk", &Disk{Latency: cfg.DiskLatency, Bandwidth: cfg.DiskBandwidth})
 	o := &owner{}
 	id := s.Register("owner", o)
@@ -214,7 +214,7 @@ func TestReattachDiscardsVolatileState(t *testing.T) {
 	s.SendAt(s.Now(), id, cmd(func(ctx *sim.Context) {
 		o.log.AppendCommitted(ctx, 2, "kv", kvWorks(), 0, nil)
 	}))
-	s.Run(s.Now()) // deliver the append only; leave its batch open
+	s.Step() // deliver the append only; leave its batch open
 	durableLen := o.log.DurableLen()
 	if len(o.log.Image()) <= durableLen {
 		t.Fatal("test setup: second record should be appended but not durable")
@@ -229,7 +229,7 @@ func TestReattachDiscardsVolatileState(t *testing.T) {
 }
 
 func TestDiskServiceTime(t *testing.T) {
-	s := sim.New()
+	s := sim.NewSharded(1, sim.Microsecond)
 	d := &Disk{Latency: 20 * sim.Microsecond, Bandwidth: 1e6} // 1 MB/s
 	disk := s.Register("disk", d)
 	var doneAt sim.Time

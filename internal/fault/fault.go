@@ -121,23 +121,19 @@ func Validate(events []Event, partitions, replicas int, det Detection, durable b
 }
 
 // Controller is the fault-injection actor: each scheduled Event is delivered
-// to it at the event's time, and it kills the target process in the sim
-// kernel (messages to a dead actor are dropped — fail-stop).
+// to it at the event's time, and it records the crash and, for a
+// crash-restart, tells the restarter to recover. The kill itself is
+// pre-registered in the sim kernel (ShardedScheduler.KillAt) at the same
+// time, in the victim's own shard, so messages to the dead actor are dropped
+// from that instant on — fail-stop.
 type Controller struct {
-	Rec       *metrics.Collector
-	Primaries []sim.ActorID
-	Backups   [][]sim.ActorID
+	Rec *metrics.Collector
 	// Restarters maps partitions to their restarter actors (crash-restart
 	// schedules only; zero entries elsewhere). RestartDelay is how long
 	// after the kill the restarter is told to begin recovery — the
 	// supervisor noticing the dead process and re-launching it.
 	Restarters   []sim.ActorID
 	RestartDelay sim.Time
-	// SkipKill suppresses the synchronous Context.Kill: the sharded runtime
-	// pre-registers every crash as a KillAt marker in the victim's own shard
-	// (a synchronous cross-shard kill would race the victim's event loop), so
-	// the controller only records metrics and drives the restart path there.
-	SkipKill bool
 }
 
 // Receive executes one scheduled fault.
@@ -148,19 +144,10 @@ func (c *Controller) Receive(ctx *sim.Context, m sim.Message) {
 	}
 	switch ev.Kind {
 	case KindCrashPrimary:
-		if !c.SkipKill {
-			ctx.Kill(c.Primaries[ev.Partition])
-		}
 		c.Rec.NoteCrash(int(ev.Partition), metrics.RolePrimary, 0, ctx.Now())
 	case KindCrashBackup:
-		if !c.SkipKill {
-			ctx.Kill(c.Backups[ev.Partition][ev.Replica-1])
-		}
 		c.Rec.NoteCrash(int(ev.Partition), metrics.RoleBackup, ev.Replica, ctx.Now())
 	case KindCrashRestart:
-		if !c.SkipKill {
-			ctx.Kill(c.Primaries[ev.Partition])
-		}
 		c.Rec.NoteRestartCrash(int(ev.Partition), ctx.Now())
 		ctx.Send(c.Restarters[ev.Partition], msg.Restart{}, c.RestartDelay)
 	}

@@ -45,7 +45,7 @@ func (s *sink) Receive(ctx *sim.Context, m sim.Message) {
 }
 
 type fixture struct {
-	s      *sim.Scheduler
+	s      *sim.ShardedScheduler
 	part   *Partition
 	partID sim.ActorID
 	client *sink
@@ -61,7 +61,7 @@ type fixture struct {
 // backup sink does NOT auto-ack, so tests control ack timing.
 func newFixture(t *testing.T, withBackup bool) *fixture {
 	t.Helper()
-	f := &fixture{s: sim.New(), cm: costs.Default()}
+	f := &fixture{s: sim.NewSharded(1, sim.Microsecond), cm: costs.Default()}
 	reg := txn.NewRegistry()
 	reg.Register(incProc{})
 	store := storage.NewStore()

@@ -42,7 +42,7 @@ func (p *primaryStub) Receive(ctx *sim.Context, m sim.Message) {
 }
 
 type fixture struct {
-	s       *sim.Scheduler
+	s       *sim.ShardedScheduler
 	b       *Backup
 	bID     sim.ActorID
 	primary *primaryStub
@@ -50,7 +50,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	f := &fixture{s: sim.New()}
+	f := &fixture{s: sim.NewSharded(1, sim.Microsecond)}
 	reg := txn.NewRegistry()
 	reg.Register(incProc{})
 	store := storage.NewStore()

@@ -24,13 +24,13 @@ import (
 // (at, src, srcSeq): the delivery time, the sending actor, and that sender's
 // own send counter. The key is a total order (srcSeq is unique per sender)
 // that is computed entirely from per-actor state, so it is identical at
-// every width — unlike the single-threaded Scheduler's (at, globalSeq) key,
-// whose global counter reflects one particular interleaving. Because heap
-// pop order is purely key-determined, the order in which the barrier pushes
-// exchanged events is irrelevant, and a run with Shards=1 is bit-identical
-// to the same run with Shards=N. External injections (SendAt, KillAt) use
-// src = NoActor with a scheduler-level counter that only advances between
-// drive calls, which is width-independent by construction.
+// every width — a global insertion counter would instead reflect one
+// particular interleaving of the shards. Because heap pop order is purely
+// key-determined, the order in which the barrier pushes exchanged events is
+// irrelevant, and a run with Shards=1 is bit-identical to the same run with
+// Shards=N. External injections (SendAt, KillAt) use src = NoActor with a
+// scheduler-level counter that only advances between drive calls, which is
+// width-independent by construction.
 type ShardedScheduler struct {
 	width   int
 	horizon Time
@@ -43,6 +43,7 @@ type ShardedScheduler struct {
 	low      Time
 	stopped  bool
 	stopReq  atomic.Bool
+	halt     bool // width 1 only: Stop ends the current window after this delivery
 	inWindow bool // true while worker goroutines own the shards
 
 	barriers  uint64
@@ -53,10 +54,10 @@ type ShardedScheduler struct {
 // comment on ShardedScheduler for why this key is width-independent.
 type shardEvent struct {
 	at   Time
-	src  ActorID // sending actor, or NoActor for external injections
-	seq  uint64  // per-sender sequence (or the injection sequence)
-	to   ActorID
+	seq  uint64 // per-sender sequence (or the injection sequence)
 	msg  Message
+	src  ActorID // sending actor, or NoActor for external injections
+	to   ActorID
 	kill bool // kill marker: mark the destination dead instead of delivering
 }
 
@@ -94,12 +95,6 @@ type shard struct {
 	live      int // queued events destined for live actors of this shard
 	outbox    [][]shardEvent
 	ctx       Context
-	kern      shardKernel
-}
-
-type shardKernel struct {
-	s  *ShardedScheduler
-	si int
 }
 
 // NewSharded returns a sharded runtime with the given width and window
@@ -117,8 +112,7 @@ func NewSharded(width int, horizon Time) *ShardedScheduler {
 	s := &ShardedScheduler{width: width, horizon: horizon, shards: make([]shard, width)}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.kern = shardKernel{s: s, si: i}
-		sh.ctx.k = &sh.kern
+		sh.ctx.s, sh.ctx.si = s, i
 		sh.outbox = make([][]shardEvent, width)
 	}
 	return s
@@ -150,7 +144,7 @@ func (s *ShardedScheduler) Register(name string, h Handler) ActorID {
 
 func (s *ShardedScheduler) actor(id ActorID) *shardActor {
 	if id <= 0 || int(id) > len(s.actors) {
-		panicUnknownActor(id)
+		panic(fmt.Sprintf("sim: unknown actor %d", id))
 	}
 	return &s.actors[id-1]
 }
@@ -169,20 +163,11 @@ func (s *ShardedScheduler) Assign(id ActorID, shard int) {
 	a.shard = int32(shard)
 }
 
-// ShardOf returns the shard an actor is assigned to.
-func (s *ShardedScheduler) ShardOf(id ActorID) int { return int(s.actor(id).shard) }
-
-// Handler returns the handler registered for id.
-func (s *ShardedScheduler) Handler(id ActorID) Handler { return s.actor(id).handler }
-
 // Name returns the name the actor was registered with.
 func (s *ShardedScheduler) Name(id ActorID) string { return s.actor(id).name }
 
 // BusyTime returns the total virtual CPU time the actor has consumed.
 func (s *ShardedScheduler) BusyTime(id ActorID) Time { return s.actor(id).busyTotal }
-
-// NumActors returns the number of registered actors.
-func (s *ShardedScheduler) NumActors() int { return len(s.actors) }
 
 // Now returns the latest delivery time across all shards — the delivery time
 // of the most recent event in virtual order, identical at every width.
@@ -196,39 +181,35 @@ func (s *ShardedScheduler) Now() Time {
 	return t
 }
 
-// Stop makes Run and Step return without processing further events. During a
-// windowed Run the stop takes effect at the next barrier: the current window
-// always completes on every shard, which keeps the stop point — and
-// therefore the whole run — independent of the number of shards.
-func (s *ShardedScheduler) Stop() { s.stopReq.Store(true) }
+// Stop makes Run and Step return without processing further events. The
+// flag is sticky until Resume clears it, so a caller (typically a completion
+// callback inside a facade drive call) can halt a run mid-flight and later
+// continue it from exactly where it left off. At width 1, a Stop issued by
+// the event being delivered ends the run right after that delivery. At
+// larger widths other shards are mid-window concurrently, so the stop takes
+// effect at the next barrier, as Context.Stop does at every width.
+func (s *ShardedScheduler) Stop() {
+	s.stopReq.Store(true)
+	if s.width == 1 {
+		s.halt = true
+	}
+}
 
 // Resume clears a Stop.
 func (s *ShardedScheduler) Resume() {
 	s.stopped = false
+	s.halt = false
 	s.stopReq.Store(false)
 }
 
 // Stopped reports whether the runtime is stopped.
 func (s *ShardedScheduler) Stopped() bool { return s.stopped || s.stopReq.Load() }
 
-// Kill marks an actor dead, as Scheduler.Kill does. It may be called between
-// drive calls or from a same-shard handler (via Context.Kill); cross-shard
-// kills during a window must be pre-registered with KillAt.
-func (s *ShardedScheduler) Kill(id ActorID) {
-	a := s.actor(id)
-	if a.dead {
-		return
-	}
-	a.dead = true
-	s.shards[a.shard].live -= a.pending
-}
-
 // Alive reports whether the actor has not been killed.
 func (s *ShardedScheduler) Alive(id ActorID) bool { return !s.actor(id).dead }
 
 // SendAt schedules msg for delivery at the given time (external injection).
-// Times below the processed horizon are clamped to it, mirroring the plain
-// scheduler's clamp to now.
+// Times below the processed horizon are clamped to it.
 func (s *ShardedScheduler) SendAt(at Time, to ActorID, msg Message) {
 	a := s.actor(to)
 	if at < s.low {
@@ -239,11 +220,12 @@ func (s *ShardedScheduler) SendAt(at Time, to ActorID, msg Message) {
 }
 
 // KillAt schedules a fail-stop crash of an actor at an absolute virtual
-// time. The kill is an event in the victim's own shard, ordered before any
-// same-time deliveries from live senders (external injections sort first at
-// equal times), so a statically scheduled crash lands identically at every
-// width. This is how fault schedules are installed on the sharded runtime,
-// replacing the plain path's synchronous Kill from the fault controller.
+// time: every event delivered to it from then on — including its own pending
+// timers — is silently dropped (counted in DroppedCount), while messages it
+// sent before dying still arrive. A kill is permanent. The kill is an event
+// in the victim's own shard, ordered before any same-time deliveries from
+// live senders (external injections sort first at equal times), so a
+// statically scheduled crash lands identically at every width.
 func (s *ShardedScheduler) KillAt(at Time, id ActorID) {
 	a := s.actor(id)
 	if at < s.low {
@@ -287,8 +269,7 @@ func (s *ShardedScheduler) Pending() int {
 }
 
 // DeliveredCount returns the total events delivered across shards. Kill
-// markers are internal and never counted, so the total matches the plain
-// scheduler's accounting.
+// markers are internal and never counted, nor are dropped events.
 func (s *ShardedScheduler) DeliveredCount() uint64 {
 	var n uint64
 	for i := range s.shards {
@@ -317,14 +298,14 @@ func (s *ShardedScheduler) ShardBusy() []Time {
 	return out
 }
 
-// send implements kernel for one shard. Intra-shard sends (and all sends
-// while no window is running, e.g. under Step) go straight into the
-// destination heap; cross-shard sends during a window are buffered in the
-// outbox after the lookahead check and merged at the barrier.
-func (k *shardKernel) send(from ActorID, at Time, to ActorID, msg Message) {
-	s := k.s
+// send schedules msg on behalf of actor from, delivered by shard si.
+// Intra-shard sends (and all sends while no window is running, e.g. under
+// Step or at width 1) go straight into the destination heap; cross-shard
+// sends during a window are buffered in the outbox after the lookahead check
+// and merged at the barrier.
+func (s *ShardedScheduler) send(si int, from ActorID, at Time, to ActorID, msg Message) {
 	a := s.actor(to)
-	sh := &s.shards[k.si]
+	sh := &s.shards[si]
 	if at < sh.now {
 		at = sh.now
 	}
@@ -332,7 +313,7 @@ func (k *shardKernel) send(from ActorID, at Time, to ActorID, msg Message) {
 	src.sendSeq++
 	e := shardEvent{at: at, src: from, seq: src.sendSeq, to: to, msg: msg}
 	dst := int(a.shard)
-	if dst == k.si || !s.inWindow {
+	if dst == si || !s.inWindow {
 		s.shards[dst].push(e, a)
 		return
 	}
@@ -343,23 +324,12 @@ func (k *shardKernel) send(from ActorID, at Time, to ActorID, msg Message) {
 	sh.outbox[dst] = append(sh.outbox[dst], e)
 }
 
-func (k *shardKernel) kill(id ActorID) {
-	s := k.s
-	a := s.actor(id)
-	if s.inWindow && int(a.shard) != k.si {
-		panic("sim: cross-shard Kill of " + a.name + " during a window; pre-register it with KillAt")
-	}
-	s.Kill(id)
-}
-
-func (k *shardKernel) stop() { k.s.stopReq.Store(true) }
-
 // minPending returns the earliest queued event time across shards.
 func (s *ShardedScheduler) minPending() (Time, bool) {
 	var t Time
 	found := false
 	for i := range s.shards {
-		if e, ok := s.shards[i].h.peek(); ok && (!found || e.at < t) {
+		if e := s.shards[i].h.top(); e != nil && (!found || e.at < t) {
 			t, found = e.at, true
 		}
 	}
@@ -369,52 +339,59 @@ func (s *ShardedScheduler) minPending() (Time, bool) {
 // runWindow delivers every queued event with at < bound on one shard, in
 // (at, src, seq) order, including events generated during the window that
 // still fall inside it. It returns the number of events popped (delivered or
-// dropped), excluding kill markers.
+// dropped), excluding kill markers. A width-1 Stop (halt) ends the window
+// early, right after the delivery that raised it.
 func (s *ShardedScheduler) runWindow(si int, bound Time) int {
 	sh := &s.shards[si]
 	n := 0
 	for {
-		e, ok := sh.h.peek()
-		if !ok || e.at >= bound {
+		if e := sh.h.top(); e == nil || e.at >= bound {
 			return n
 		}
-		sh.h.pop()
-		a := &s.actors[e.to-1]
-		a.pending--
-		if !a.dead {
-			sh.live--
-		}
-		if e.kill {
-			sh.now = e.at
-			if !a.dead {
-				a.dead = true
-				sh.live -= a.pending
+		if s.popDeliver(sh) {
+			n++
+			if s.halt {
+				return n
 			}
-			continue
 		}
-		s.deliverOn(sh, e, a)
-		n++
 	}
 }
 
-// deliverOn dispatches one popped event, mirroring Scheduler.deliver's
-// busy-until semantics exactly.
-func (s *ShardedScheduler) deliverOn(sh *shard, e shardEvent, a *shardActor) {
-	sh.now = e.at
+// popDeliver pops the earliest event of a non-empty shard and dispatches it,
+// modelling the actor's single-threaded CPU: service starts at
+// max(arrival, busyUntil). A kill marker marks its actor dead instead, and a
+// message to a dead actor is dropped. It reports whether the event was a
+// message (delivered or dropped) rather than a kill marker.
+func (s *ShardedScheduler) popDeliver(sh *shard) bool {
+	e := sh.h.top()
+	at, to, msg, kill := e.at, e.to, e.msg, e.kill
+	sh.h.pop()
+	sh.now = at
+	a := &s.actors[to-1]
+	a.pending--
 	if a.dead {
-		sh.dropped++
-		return
+		if !kill {
+			sh.dropped++
+		}
+		return !kill
 	}
-	start := e.at
+	sh.live--
+	if kill {
+		a.dead = true
+		sh.live -= a.pending
+		return false
+	}
+	start := at
 	if a.busyUntil > start {
 		start = a.busyUntil
 	}
-	sh.ctx.self = e.to
+	sh.ctx.self = to
 	sh.ctx.local = start
-	a.handler.Receive(&sh.ctx, e.msg)
+	a.handler.Receive(&sh.ctx, msg)
 	a.busyUntil = sh.ctx.local
 	a.busyTotal += sh.ctx.local - start
 	sh.delivered++
+	return true
 }
 
 // exchange drains every outbox into the destination heaps. Heap order is
@@ -444,9 +421,10 @@ type windowResult struct {
 }
 
 // Run processes events in windows until the queue is empty, the next event's
-// delivery time exceeds until, or Stop is called (taking effect at a window
-// boundary). It returns the number of events processed. The window sequence
-// — and therefore every observable outcome — is identical at every width.
+// delivery time exceeds until, or a stop takes effect (see Stop). It returns
+// the number of events processed. Unless Stop halts a width-1 run
+// mid-window, the window sequence — and therefore every observable outcome —
+// is identical at every width.
 func (s *ShardedScheduler) Run(until Time) int {
 	if s.stopped || s.stopReq.Load() {
 		s.stopped = true
@@ -486,6 +464,13 @@ func (s *ShardedScheduler) Run(until Time) int {
 		}
 		if s.width == 1 {
 			total += s.runWindow(0, bound)
+			if s.halt {
+				// Halted mid-window: everything before the halting event's
+				// time has been delivered, so that is the processed horizon.
+				s.low = s.shards[0].now
+				s.stopped = true
+				break
+			}
 		} else {
 			s.inWindow = true
 			for i := range jobs {
@@ -546,41 +531,21 @@ func (s *ShardedScheduler) Step() bool {
 		return false
 	}
 	for {
-		best := -1
-		var bk shardEvent
+		var sh *shard
+		var bk *shardEvent
 		for i := range s.shards {
-			if e, ok := s.shards[i].h.peek(); ok {
-				if best < 0 || e.before(&bk) {
-					best, bk = i, e
-				}
+			if e := s.shards[i].h.top(); e != nil && (bk == nil || e.before(bk)) {
+				sh, bk = &s.shards[i], e
 			}
 		}
-		if best < 0 {
+		if sh == nil {
 			return false
 		}
-		sh := &s.shards[best]
-		e, _ := sh.h.pop()
-		a := &s.actors[e.to-1]
-		a.pending--
-		if !a.dead {
-			sh.live--
+		if bk.at > s.low {
+			s.low = bk.at
 		}
-		if e.at > s.low {
-			s.low = e.at
+		if s.popDeliver(sh) {
+			return true
 		}
-		if e.kill {
-			sh.now = e.at
-			if !a.dead {
-				a.dead = true
-				sh.live -= a.pending
-			}
-			continue
-		}
-		s.deliverOn(sh, e, a)
-		return true
 	}
-}
-
-func panicUnknownActor(id ActorID) {
-	panic(fmt.Sprintf("sim: unknown actor %d", id))
 }

@@ -10,22 +10,20 @@ import (
 // last-popped event's Message (and everything it references) stayed
 // reachable — and uncollectable — for as long as the heap lived.
 func TestPopZeroesVacatedSlot(t *testing.T) {
-	var h eventHeap
+	var h shardHeap
 	payloads := []*[]byte{}
 	for i := 0; i < 16; i++ {
 		p := make([]byte, 1)
 		payloads = append(payloads, &p)
-		h.push(event{at: Time(i), seq: uint64(i), to: 1, msg: &p})
+		h.push(shardEvent{at: Time(i), src: 1, seq: uint64(i), to: 1, msg: &p})
 	}
 	for i := 0; i < 12; i++ {
-		if _, ok := h.pop(); !ok {
-			t.Fatal("pop failed")
-		}
+		h.pop()
 	}
 	// Every slot beyond the live length must be fully zeroed.
 	backing := h.ev[:cap(h.ev)]
 	for i := len(h.ev); i < len(backing); i++ {
-		if backing[i] != (event{}) {
+		if backing[i] != (shardEvent{}) {
 			t.Fatalf("vacated slot %d still holds %+v", i, backing[i])
 		}
 	}
@@ -33,38 +31,39 @@ func TestPopZeroesVacatedSlot(t *testing.T) {
 }
 
 // TestHeapRandomPushPop interleaves pushes and pops and checks the pop
-// sequence is always the (at, seq) minimum of what remains — the 4-ary
-// sift-down must behave exactly like the binary one did.
+// sequence is always the (at, src, seq) minimum of what remains — the 4-ary
+// sift-down must behave exactly like a binary one would.
 func TestHeapRandomPushPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var h eventHeap
-	live := map[uint64]Time{}
+	var h shardHeap
+	// Sequences are unique across senders here, so seq alone identifies a
+	// live event.
+	live := map[uint64]shardEvent{}
 	seq := uint64(0)
 	for round := 0; round < 5000; round++ {
 		if h.Len() == 0 || rng.Intn(3) != 0 {
 			seq++
-			at := Time(rng.Intn(50))
-			h.push(event{at: at, seq: seq, to: 1})
-			live[seq] = at
+			e := shardEvent{at: Time(rng.Intn(50)), src: ActorID(rng.Intn(4)), seq: seq, to: 1}
+			h.push(e)
+			live[seq] = e
 		} else {
-			e, ok := h.pop()
-			if !ok {
-				t.Fatal("pop on non-empty heap failed")
-			}
-			// e must be the minimum of live by (at, seq).
-			for s, at := range live {
-				if at < e.at || (at == e.at && s < e.seq) {
-					t.Fatalf("popped (%d,%d) but (%d,%d) was smaller", e.at, e.seq, at, s)
+			e := *h.top()
+			h.pop()
+			// e must be the minimum of live by (at, src, seq).
+			for _, o := range live {
+				if o.before(&e) {
+					t.Fatalf("popped %+v but %+v was smaller", e, o)
 				}
 			}
 			delete(live, e.seq)
 		}
 	}
-	prev := event{at: -1}
+	prev := shardEvent{at: -1}
 	for h.Len() > 0 {
-		e, _ := h.pop()
-		if e.at < prev.at || (e.at == prev.at && e.seq < prev.seq) {
-			t.Fatalf("drain out of order: (%d,%d) after (%d,%d)", e.at, e.seq, prev.at, prev.seq)
+		e := *h.top()
+		h.pop()
+		if e.before(&prev) {
+			t.Fatalf("drain out of order: %+v after %+v", e, prev)
 		}
 		prev = e
 		delete(live, e.seq)
@@ -78,17 +77,17 @@ func TestHeapRandomPushPop(t *testing.T) {
 // ActorID(0), negative and unregistered IDs with the scheduler's clear panic
 // message, not a raw slice index error.
 func TestActorAccessorsPanicOnUnknownID(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	s.Register("only", HandlerFunc(func(*Context, Message) {}))
 	cases := []struct {
 		name string
 		call func(id ActorID)
 	}{
-		{"Handler", func(id ActorID) { s.Handler(id) }},
 		{"Name", func(id ActorID) { s.Name(id) }},
 		{"BusyTime", func(id ActorID) { s.BusyTime(id) }},
 		{"Alive", func(id ActorID) { s.Alive(id) }},
-		{"Kill", func(id ActorID) { s.Kill(id) }},
+		{"KillAt", func(id ActorID) { s.KillAt(0, id) }},
+		{"Assign", func(id ActorID) { s.Assign(id, 0) }},
 	}
 	for _, tc := range cases {
 		for _, id := range []ActorID{0, -1, 2, 99} {
@@ -137,10 +136,10 @@ func itoa(v int) string {
 
 // TestStepAllocationFree pins the kernel's allocations per event at zero:
 // once the heap's backing array has grown to its working size, delivering an
-// event (pop, dispatch, push of the reply) must not allocate. This is the
-// satellite regression gate for the ISSUE 4 kernel slimming.
+// event (pop, dispatch, push of the reply) must not allocate, whether by
+// Step or by a width-1 windowed Run.
 func TestStepAllocationFree(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	var a1, a2 ActorID
 	msg := &struct{ hops int }{}
 	a1 = s.Register("a1", HandlerFunc(func(ctx *Context, m Message) {
@@ -164,6 +163,14 @@ func TestStepAllocationFree(t *testing.T) {
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("Scheduler.Step allocates %.2f objects/event, want 0", avg)
+		t.Fatalf("Step allocates %.2f objects/event, want 0", avg)
+	}
+	avg = testing.AllocsPerRun(200, func() {
+		if s.Run(s.Now()+11*Microsecond) != 1 {
+			t.Fatal("ping-pong went quiescent")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("width-1 Run allocates %.2f objects/event, want 0", avg)
 	}
 }

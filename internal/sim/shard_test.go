@@ -187,9 +187,9 @@ func TestShardedStopAtBarrier(t *testing.T) {
 	}
 }
 
-// TestShardedKillAtDropsDeliveries mirrors TestKillDropsDeliveries on the
-// sharded runtime: deliveries after the kill marker are dropped, earlier
-// ones are not.
+// TestShardedKillAtDropsDeliveries is TestKillDropsDeliveries across two
+// shards: deliveries after the kill marker are dropped, earlier ones are
+// not.
 func TestShardedKillAtDropsDeliveries(t *testing.T) {
 	s := NewSharded(2, 20*Microsecond)
 	r := &recorder{}
@@ -239,39 +239,8 @@ func TestShardedLookaheadPanics(t *testing.T) {
 	s.Drain()
 }
 
-// TestShardedCrossShardKillPanics pins the other loud failure: synchronous
-// Kill of a cross-shard actor during a window must panic (it would race the
-// victim's event loop); KillAt is the sanctioned path.
-func TestShardedCrossShardKillPanics(t *testing.T) {
-	s := NewSharded(2, 20*Microsecond)
-	var victim ActorID
-	a := s.Register("a", HandlerFunc(func(ctx *Context, m Message) {
-		ctx.Kill(victim)
-	}))
-	victim = s.Register("b", &recorder{})
-	s.Assign(a, 0)
-	s.Assign(victim, 1)
-	s.SendAt(0, a, "go")
-	defer func() {
-		if p := recover(); p == nil {
-			t.Fatal("expected a cross-shard kill panic")
-		}
-	}()
-	s.Drain()
-}
-
 // livePendingScan is the brute-force oracle for the cached Pending count: it
-// walks the heap and counts events destined for live actors.
-func (s *Scheduler) livePendingScan() int {
-	n := 0
-	for i := range s.heap.ev {
-		if !s.actors[s.heap.ev[i].to-1].dead {
-			n++
-		}
-	}
-	return n
-}
-
+// walks every shard's heap and counts events destined for live actors.
 func (s *ShardedScheduler) livePendingScan() int {
 	n := 0
 	for si := range s.shards {
@@ -284,12 +253,12 @@ func (s *ShardedScheduler) livePendingScan() int {
 	return n
 }
 
-// TestPendingMatchesScan is the regression test for the O(1) pending-count
-// cache on the plain scheduler: under random traffic, partial drains, and
+// TestPendingMatchesScan is the regression test for the cached pending
+// count at width 1: under random traffic, single steps, partial runs, and
 // kills, Pending always agrees with a brute-force heap scan.
 func TestPendingMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := New()
+	s := newWidth1()
 	var ids []ActorID
 	for i := 0; i < 6; i++ {
 		i := i
@@ -314,7 +283,7 @@ func TestPendingMatchesScan(t *testing.T) {
 			s.Step()
 		case 4:
 			if round > 100 && rng.Intn(10) == 0 {
-				s.Kill(ids[rng.Intn(len(ids))])
+				s.KillAt(s.Now(), ids[rng.Intn(len(ids))])
 			} else {
 				s.Run(s.Now() + 20*Microsecond)
 			}

@@ -8,9 +8,12 @@
 // Context.Spend. Queueing and saturation (e.g. of the central coordinator in
 // Figure 4 of the paper) emerge from this busy-until semantics.
 //
-// Determinism: events are ordered by (deliver time, insertion sequence), and
-// all randomness used by actors must come from seeded sources, so a run is a
-// pure function of its configuration.
+// Determinism: events are ordered by (deliver time, sender, sender's own
+// send sequence), and all randomness used by actors must come from seeded
+// sources, so a run is a pure function of its configuration. The one event
+// kernel is ShardedScheduler: width 1 runs every actor on the calling
+// goroutine, wider runs fan partition groups out over worker goroutines
+// with the identical result (see shard.go).
 package sim
 
 import "fmt"
@@ -49,280 +52,11 @@ type Handler interface {
 	Receive(ctx *Context, m Message)
 }
 
-// event is a scheduled message delivery.
-type event struct {
-	at  Time
-	seq uint64
-	to  ActorID
-	msg Message
-}
-
-type actorState struct {
-	handler   Handler
-	busyUntil Time
-	busyTotal Time
-	name      string
-	dead      bool
-	// pending counts events queued for this actor, so Kill can subtract the
-	// victim's backlog from the scheduler's live-pending cache in O(1).
-	pending int
-}
-
-// Runtime is the stepping contract shared by the single-threaded Scheduler
-// and the ShardedScheduler: registration, external injection, the drive
-// primitives, and the introspection the facade layers on top. Components keep
-// talking to a Context; only the driver chooses the runtime.
-type Runtime interface {
-	// Register adds an actor and returns its ID.
-	Register(name string, h Handler) ActorID
-	// SendAt schedules an external message (injection point).
-	SendAt(at Time, to ActorID, msg Message)
-	// Step delivers one event; Run and Drain batch deliveries.
-	Step() bool
-	Run(until Time) int
-	Drain() int
-	// Now is the delivery time of the most recently delivered event.
-	Now() Time
-	// Stop/Resume/Stopped control the sticky halt flag.
-	Stop()
-	Resume()
-	Stopped() bool
-	// Empty reports whether no events remain queued; Pending counts queued
-	// events whose destination is still alive, in O(1).
-	Empty() bool
-	Pending() int
-	// Kill marks an actor dead; Alive reports the flag.
-	Kill(id ActorID)
-	Alive(id ActorID) bool
-	// Introspection for metrics and diagnostics.
-	BusyTime(id ActorID) Time
-	Name(id ActorID) string
-	Handler(id ActorID) Handler
-	NumActors() int
-	DeliveredCount() uint64
-	DroppedCount() uint64
-}
-
-// Scheduler owns the event queue and all registered actors.
-type Scheduler struct {
-	heap    eventHeap
-	seq     uint64
-	now     Time
-	actors  []actorState // index = ActorID-1
-	ctx     Context
-	stopped bool
-	// live caches the number of queued events destined for live actors, so
-	// Empty/quiescence polling and Pending are O(1) instead of a heap scan.
-	// Maintained by SendAt (push), deliver (pop), and Kill (subtracting the
-	// victim's per-actor pending count).
-	live int
-
-	// Delivered counts events processed, for diagnostics and tests.
-	Delivered uint64
-	// Dropped counts events discarded because their destination actor was
-	// dead at delivery time (fail-stop crash faults).
-	Dropped uint64
-}
-
-// New returns an empty scheduler at time zero.
-func New() *Scheduler {
-	s := &Scheduler{}
-	s.ctx.k = s
-	return s
-}
-
-// Register adds an actor and returns its ID. The name is used in errors only.
-func (s *Scheduler) Register(name string, h Handler) ActorID {
-	s.actors = append(s.actors, actorState{handler: h, name: name})
-	return ActorID(len(s.actors))
-}
-
-// actor returns the state for id, panicking with a clear message on
-// ActorID(0), negative or never-registered IDs — the same contract SendAt
-// enforces, instead of a raw index error.
-func (s *Scheduler) actor(id ActorID) *actorState {
-	if id <= 0 || int(id) > len(s.actors) {
-		panic(fmt.Sprintf("sim: unknown actor %d", id))
-	}
-	return &s.actors[id-1]
-}
-
-// Handler returns the handler registered for id.
-func (s *Scheduler) Handler(id ActorID) Handler {
-	return s.actor(id).handler
-}
-
-// Name returns the name the actor was registered with.
-func (s *Scheduler) Name(id ActorID) string {
-	return s.actor(id).name
-}
-
-// BusyTime returns the total virtual CPU time the actor has consumed, for
-// utilization measurements (e.g. coordinator saturation, §5.1).
-func (s *Scheduler) BusyTime(id ActorID) Time {
-	return s.actor(id).busyTotal
-}
-
-// NumActors returns the number of registered actors.
-func (s *Scheduler) NumActors() int { return len(s.actors) }
-
-// Now returns the scheduler's current virtual time: the delivery time of the
-// most recently dequeued event.
-func (s *Scheduler) Now() Time { return s.now }
-
-// SendAt schedules msg for delivery to the given actor at the given time.
-// It is the external injection point (e.g. starting clients at t=0).
-func (s *Scheduler) SendAt(at Time, to ActorID, msg Message) {
-	if to <= 0 || int(to) > len(s.actors) {
-		panic(fmt.Sprintf("sim: send to unknown actor %d", to))
-	}
-	if at < s.now {
-		at = s.now
-	}
-	a := &s.actors[to-1]
-	a.pending++
-	if !a.dead {
-		s.live++
-	}
-	s.seq++
-	s.heap.push(event{at: at, seq: s.seq, to: to, msg: msg})
-}
-
-// Stop makes Run and Step return without processing further events. The flag
-// is sticky until Resume clears it, so a caller (typically a completion
-// callback inside a facade drive call) can halt a run mid-flight and later
-// continue it from exactly where it left off.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Resume clears a Stop, allowing Run and Step to process events again.
-func (s *Scheduler) Resume() { s.stopped = false }
-
-// Stopped reports whether the scheduler is currently stopped.
-func (s *Scheduler) Stopped() bool { return s.stopped }
-
-// Kill marks an actor dead, modeling a fail-stop crash: every event delivered
-// to it from now on — including its own pending timers — is silently dropped
-// (counted in Dropped). Messages the actor sent before dying still arrive.
-// A kill is permanent; there is no revival.
-func (s *Scheduler) Kill(id ActorID) {
-	a := s.actor(id)
-	if a.dead {
-		return
-	}
-	a.dead = true
-	s.live -= a.pending
-}
-
-// Alive reports whether the actor has not been killed.
-func (s *Scheduler) Alive(id ActorID) bool { return !s.actor(id).dead }
-
-// Empty reports whether no events remain queued. In a closed-loop simulation
-// an empty queue is permanent quiescence: nothing further will happen without
-// external input via SendAt.
-func (s *Scheduler) Empty() bool {
-	_, ok := s.heap.peek()
-	return !ok
-}
-
-// Pending returns the number of queued events whose destination actor is
-// still alive, in O(1) from the cached count. Events addressed to killed
-// actors are excluded: they can only be dropped, so they cannot advance the
-// simulation, and quiescence pollers should not wait on them.
-func (s *Scheduler) Pending() int { return s.live }
-
-// DeliveredCount returns Delivered; it exists so drivers can count events
-// through the Runtime interface without reaching for the struct field.
-func (s *Scheduler) DeliveredCount() uint64 { return s.Delivered }
-
-// DroppedCount returns Dropped through the Runtime interface.
-func (s *Scheduler) DroppedCount() uint64 { return s.Dropped }
-
-// deliver dispatches one dequeued event to its actor, modelling the actor's
-// single-threaded CPU: service starts at max(arrival, busyUntil).
-func (s *Scheduler) deliver(e event) {
-	s.now = e.at
-	a := &s.actors[e.to-1]
-	a.pending--
-	if a.dead {
-		s.Dropped++
-		return
-	}
-	s.live--
-	start := e.at
-	if a.busyUntil > start {
-		start = a.busyUntil
-	}
-	s.ctx.self = e.to
-	s.ctx.local = start
-	a.handler.Receive(&s.ctx, e.msg)
-	a.busyUntil = s.ctx.local
-	a.busyTotal += s.ctx.local - start
-	s.Delivered++
-}
-
-// Step delivers exactly one event and returns true, or returns false when the
-// queue is empty or the scheduler is stopped. It is the fine-grained stepping
-// primitive beneath Run/Drain and the facade's interactive drivers.
-func (s *Scheduler) Step() bool {
-	if s.stopped {
-		return false
-	}
-	e, ok := s.heap.pop()
-	if !ok {
-		return false
-	}
-	s.deliver(e)
-	return true
-}
-
-// Run processes events in order until the queue is empty or the next event's
-// delivery time exceeds until. It returns the number of events processed.
-func (s *Scheduler) Run(until Time) int {
-	n := 0
-	for !s.stopped {
-		e, ok := s.heap.peek()
-		if !ok || e.at > until {
-			break
-		}
-		s.heap.pop()
-		s.deliver(e)
-		n++
-	}
-	return n
-}
-
-// Drain runs until no events remain (no time bound). Intended for tests.
-func (s *Scheduler) Drain() int {
-	return s.Run(Time(1<<62 - 1))
-}
-
-// kernel is the scheduling backend a Context talks to. The single-threaded
-// Scheduler routes every call to itself; the ShardedScheduler installs one
-// kernel per shard so sends can be classified as intra- or cross-shard and
-// stamped with the sender's sequence number.
-type kernel interface {
-	// send schedules msg at absolute time at, on behalf of actor from.
-	send(from ActorID, at Time, to ActorID, msg Message)
-	// kill marks an actor dead (fail-stop crash).
-	kill(id ActorID)
-	// stop raises the runtime's sticky halt flag.
-	stop()
-}
-
-// send implements kernel for the single-threaded scheduler: the sender is
-// irrelevant because a global insertion sequence already totals the order.
-func (s *Scheduler) send(_ ActorID, at Time, to ActorID, msg Message) {
-	s.SendAt(at, to, msg)
-}
-
-func (s *Scheduler) kill(id ActorID) { s.Kill(id) }
-
-func (s *Scheduler) stop() { s.Stop() }
-
 // Context is passed to Handler.Receive. It is owned by the scheduler and
 // reused between deliveries; handlers must not retain it.
 type Context struct {
-	k     kernel
+	s     *ShardedScheduler
+	si    int // the shard delivering the current event
 	self  ActorID
 	local Time
 }
@@ -349,28 +83,24 @@ func (c *Context) Send(to ActorID, msg Message, latency Time) {
 	if latency < 0 {
 		panic("sim: negative latency")
 	}
-	c.k.send(c.self, c.local+latency, to, msg)
+	c.s.send(c.si, c.self, c.local+latency, to, msg)
 }
 
 // After schedules msg to be delivered back to the current actor after d.
 // It is the timer primitive (e.g. distributed deadlock timeouts).
 func (c *Context) After(d Time, msg Message) {
-	c.k.send(c.self, c.local+d, c.self, msg)
+	c.s.send(c.si, c.self, c.local+d, c.self, msg)
 }
 
 // SendAt schedules msg for delivery at an absolute virtual time, for actors
 // that pace themselves against the global clock (open-loop arrival ticks)
 // rather than relative latencies. Times in the past are clamped to now.
 func (c *Context) SendAt(at Time, to ActorID, msg Message) {
-	c.k.send(c.self, at, to, msg)
+	c.s.send(c.si, c.self, at, to, msg)
 }
 
-// Kill marks an actor dead from inside a handler (fail-stop crash
-// injection). On the sharded runtime only same-shard victims may be killed
-// synchronously; cross-shard crashes must be pre-registered with
-// ShardedScheduler.KillAt, which is how the fault controller schedules them.
-func (c *Context) Kill(id ActorID) { c.k.kill(id) }
-
-// Stop raises the runtime's sticky halt flag from inside a handler. On the
-// sharded runtime the stop takes effect at the next window barrier.
-func (c *Context) Stop() { c.k.stop() }
+// Stop raises the runtime's sticky halt flag from inside a handler. The stop
+// takes effect at the next window barrier at every width, so the stop point
+// is width-independent (ShardedScheduler.Stop, the scheduler-level call,
+// halts a width-1 run sooner).
+func (c *Context) Stop() { c.s.stopReq.Store(true) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,8 +21,13 @@ func (r *recorder) Receive(ctx *Context, m Message) {
 	r.got = append(r.got, recorded{m, ctx.Now()})
 }
 
+// newWidth1 returns the single-shard runtime every DB runs on without
+// WithParallelism. The horizon only sets the window length (and therefore
+// where a Context.Stop lands); it never reorders deliveries.
+func newWidth1() *ShardedScheduler { return NewSharded(1, Microsecond) }
+
 func TestDeliveryOrder(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	r := &recorder{}
 	a := s.Register("a", r)
 	s.SendAt(30*Microsecond, a, "third")
@@ -39,17 +45,38 @@ func TestDeliveryOrder(t *testing.T) {
 	}
 }
 
+// TestTieBreakBySequence pins the (at, src, seq) order of same-time
+// deliveries: external injections (src NoActor) first in injection order,
+// then each sending actor's events in ascending actor ID, each sender's own
+// events in send order — regardless of when the sends were executed.
 func TestTieBreakBySequence(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	r := &recorder{}
-	a := s.Register("a", r)
-	for i := 0; i < 10; i++ {
-		s.SendAt(5*Microsecond, a, i)
+	var sink ActorID
+	fanOut := func(tag string) HandlerFunc {
+		return func(ctx *Context, m Message) {
+			for i := 0; i < 3; i++ {
+				ctx.SendAt(50*Microsecond, sink, fmt.Sprintf("%s%d", tag, i))
+			}
+		}
+	}
+	a := s.Register("a", fanOut("a"))
+	b := s.Register("b", fanOut("b"))
+	sink = s.Register("sink", r)
+	// b sends before a, and the injections are scheduled before both.
+	s.SendAt(0, b, "go")
+	s.SendAt(10*Microsecond, a, "go")
+	for i := 0; i < 3; i++ {
+		s.SendAt(50*Microsecond, sink, fmt.Sprintf("x%d", i))
 	}
 	s.Drain()
-	for i := 0; i < 10; i++ {
-		if r.got[i].msg != i {
-			t.Fatalf("same-time events reordered: slot %d = %v", i, r.got[i].msg)
+	want := []string{"x0", "x1", "x2", "a0", "a1", "a2", "b0", "b1", "b2"}
+	if len(r.got) != len(want) {
+		t.Fatalf("delivered %d events, want %d", len(r.got), len(want))
+	}
+	for i, w := range want {
+		if r.got[i].msg != w {
+			t.Fatalf("same-time events reordered: slot %d = %v, want %v", i, r.got[i].msg, w)
 		}
 	}
 }
@@ -66,7 +93,7 @@ func (sp *spender) Receive(ctx *Context, m Message) {
 }
 
 func TestBusyUntilQueueing(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	sp := &spender{cost: 10 * Microsecond}
 	a := s.Register("a", sp)
 	// Three messages arrive at t=0; service must start at 0, 10, 20.
@@ -88,7 +115,7 @@ func TestBusyUntilQueueing(t *testing.T) {
 }
 
 func TestIdleGapResetsService(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	sp := &spender{cost: 10 * Microsecond}
 	a := s.Register("a", sp)
 	s.SendAt(0, a, "x")
@@ -121,7 +148,7 @@ func (e *echo) Receive(ctx *Context, m Message) {
 }
 
 func TestSendLatency(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	ea := &echo{latency: 20 * Microsecond}
 	eb := &echo{latency: 20 * Microsecond}
 	a := s.Register("a", ea)
@@ -154,7 +181,7 @@ func (ta *timerActor) Receive(ctx *Context, m Message) {
 }
 
 func TestAfterTimer(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	ta := &timerActor{}
 	a := s.Register("a", ta)
 	s.SendAt(10*Microsecond, a, "arm")
@@ -165,7 +192,7 @@ func TestAfterTimer(t *testing.T) {
 }
 
 func TestRunUntilBound(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	r := &recorder{}
 	a := s.Register("a", r)
 	s.SendAt(10*Microsecond, a, 1)
@@ -181,8 +208,10 @@ func TestRunUntilBound(t *testing.T) {
 	}
 }
 
+// TestStop pins ShardedScheduler.Stop at width 1: issued by the event being
+// delivered, it halts the run right after that delivery, mid-window.
 func TestStop(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	stopAfter := 5
 	var r *stopper
 	r = &stopper{n: &stopAfter, s: s}
@@ -198,7 +227,7 @@ func TestStop(t *testing.T) {
 
 type stopper struct {
 	n *int
-	s *Scheduler
+	s *ShardedScheduler
 }
 
 func (st *stopper) Receive(ctx *Context, m Message) {
@@ -214,18 +243,25 @@ func TestSendToUnknownActorPanics(t *testing.T) {
 			t.Fatal("expected panic for unknown actor")
 		}
 	}()
-	New().SendAt(0, 7, "x")
+	newWidth1().SendAt(0, 7, "x")
 }
 
 func TestNegativeSpendPanics(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	a := s.Register("a", handlerFunc(func(ctx *Context, m Message) {
-		defer func() {
-			if recover() == nil {
-				panic("expected panic")
-			}
-		}()
-		ctx.Spend(-1)
+		for _, bad := range []func(){
+			func() { ctx.Spend(-1) },
+			func() { ctx.Send(ctx.Self(), "x", -1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						panic("expected panic")
+					}
+				}()
+				bad()
+			}()
+		}
 	}))
 	s.SendAt(0, a, "x")
 	s.Drain()
@@ -242,7 +278,7 @@ func TestHeapProperty(t *testing.T) {
 		if len(times) == 0 {
 			return true
 		}
-		s := New()
+		s := newWidth1()
 		r := &recorder{}
 		a := s.Register("a", r)
 		for i, tt := range times {
@@ -272,7 +308,7 @@ func TestHeapProperty(t *testing.T) {
 // and requires identical traces.
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
-		s := New()
+		s := newWidth1()
 		rng := rand.New(rand.NewSource(seed))
 		var rec recorder
 		const n = 8
@@ -318,24 +354,20 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestKillDropsDeliveries(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	r := &recorder{}
 	a := s.Register("victim", r)
 	b := s.Register("witness", &recorder{})
 	s.SendAt(10*Microsecond, a, "before")
 	s.SendAt(30*Microsecond, a, "after")
 	s.SendAt(40*Microsecond, b, "other")
-	// Kill at t=20µs via an event so the ordering is part of the run.
-	k := s.Register("killer", HandlerFunc(func(ctx *Context, m Message) {
-		ctx.Kill(a)
-	}))
-	s.SendAt(20*Microsecond, k, "kill")
+	s.KillAt(20*Microsecond, a)
 	s.Drain()
 	if len(r.got) != 1 || r.got[0].msg != "before" {
 		t.Fatalf("victim got %v, want only the pre-kill delivery", r.got)
 	}
-	if s.Dropped != 1 {
-		t.Errorf("Dropped = %d, want 1", s.Dropped)
+	if s.DroppedCount() != 1 {
+		t.Errorf("Dropped = %d, want 1", s.DroppedCount())
 	}
 	if s.Alive(a) {
 		t.Error("victim still alive")
@@ -354,8 +386,10 @@ type HandlerFunc func(ctx *Context, m Message)
 // Receive implements Handler.
 func (f HandlerFunc) Receive(ctx *Context, m Message) { f(ctx, m) }
 
+// TestStopIsResumable: Context.Stop lands on the window barrier (here the
+// 1µs window holding the stopper's event), and Resume continues the run.
 func TestStopIsResumable(t *testing.T) {
-	s := New()
+	s := newWidth1()
 	r := &recorder{}
 	a := s.Register("a", r)
 	for i := 0; i < 5; i++ {

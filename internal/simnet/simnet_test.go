@@ -25,7 +25,7 @@ func (s *sender) Receive(ctx *sim.Context, m sim.Message) {
 }
 
 func TestSendAddsLatencyAfterLocalWork(t *testing.T) {
-	s := sim.New()
+	s := sim.NewSharded(1, sim.Microsecond)
 	n := New(20 * sim.Microsecond)
 	r := &recorder{}
 	rid := s.Register("dst", r)
@@ -48,7 +48,7 @@ func TestSendAddsLatencyAfterLocalWork(t *testing.T) {
 // TestFIFOPerLink: constant latency plus deterministic tie-breaking keeps
 // every link FIFO, which the central coordinator's global ordering relies on.
 func TestFIFOPerLink(t *testing.T) {
-	s := sim.New()
+	s := sim.NewSharded(1, sim.Microsecond)
 	n := New(20 * sim.Microsecond)
 	var order []int
 	dst := s.Register("dst", handlerFunc(func(ctx *sim.Context, m sim.Message) {

@@ -146,34 +146,3 @@ func TestDeterministicAcrossEngineWarmup(t *testing.T) {
 		}
 	}
 }
-
-// TestLegacyConfigShim: the deprecated Run(Config) facade produces the same
-// Result as the equivalent Open call.
-func TestLegacyConfigShim(t *testing.T) {
-	mkCfg := func() Config {
-		return Config{
-			Partitions: 2,
-			Clients:    testClients,
-			Scheme:     Speculation,
-			Seed:       1,
-			Registry:   kvRegistry(),
-			Setup:      kvSetup(testClients),
-			Workload:   scriptOf(60, 3),
-		}
-	}
-	legacy := Run(mkCfg())
-	db := mustOpen(t, mkCfg().Options()...)
-	modern := db.Run()
-	if !reflect.DeepEqual(legacy, modern) {
-		t.Fatalf("legacy shim diverges from Open:\n%+v\n%+v", legacy, modern)
-	}
-}
-
-func TestLegacyRunPanicsOnInvalidConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run with empty Config should panic (deprecated path)")
-		}
-	}()
-	Run(Config{})
-}

@@ -503,13 +503,14 @@ type ParallelismConfig struct {
 	Horizon Time
 }
 
-// WithParallelism runs the simulation on a sharded deterministic runtime:
-// one event loop per shard on its own goroutine, synchronized by
-// conservative time-window barriers. Results are bit-identical at every
-// shard count (Result.Parallel, which reports runtime observability such as
-// cross-shard message counts, is the one width-dependent field). Without
-// this option the single-threaded scheduler is used, byte-identical to
-// previous releases.
+// WithParallelism widens the event kernel: one event loop per shard on its
+// own goroutine, synchronized by conservative time-window barriers. Every DB
+// runs on this kernel; without the option it has a single shard (Horizon
+// the one-way latency) and reports no Result.Parallel. Results are
+// bit-identical at every shard count (Result.Parallel, which reports runtime
+// observability such as cross-shard message counts, is the one
+// width-dependent field), except where DB.Stop halts a run: at widths above
+// 1 the stop lands on the next window barrier.
 //
 // Caveats: workload generators must not share mutable state across clients
 // (Micro and TPC-C's Mix as wired by Open are safe only for Micro; stateful

@@ -237,13 +237,13 @@ func (db *DB) Result() Result {
 		LatencyAborted: metrics.Summarize(&aborted),
 		Events:         db.sch.DeliveredCount(),
 	}
-	if db.shsch != nil {
+	if db.cfg.parallel != nil {
 		res.Parallel = &ParallelStats{
-			Shards:         db.shsch.NumShards(),
-			Horizon:        db.shsch.Horizon(),
-			Barriers:       db.shsch.Barriers(),
-			CrossShardMsgs: db.shsch.CrossShardMsgs(),
-			ShardBusy:      db.shsch.ShardBusy(),
+			Shards:         db.sch.NumShards(),
+			Horizon:        db.sch.Horizon(),
+			Barriers:       db.sch.Barriers(),
+			CrossShardMsgs: db.sch.CrossShardMsgs(),
+			ShardBusy:      db.sch.ShardBusy(),
 		}
 	}
 	if db.cfg.measure == 0 {

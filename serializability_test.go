@@ -189,7 +189,7 @@ func TestOracleFlagsPhantomScans(t *testing.T) {
 // is shard-local and needs no changes; what this pins is that fanning the
 // event loop over OS threads preserves a serializable commit order. The
 // bounded Limit generator keeps shared state across clients and is
-// restricted to the plain path, so the run is bounded by a measured window
+// restricted to a single shard, so the run is bounded by a measured window
 // instead and drained to quiescence through an empty script before the
 // stores are compared.
 func TestOracleShardedAllSchemes(t *testing.T) {
