@@ -154,6 +154,29 @@ func BenchmarkRealLockAcquireRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkRealLockContended measures the lock manager's blocking path: two
+// transactions share a hot key, so the second queues, runs deadlock
+// detection, and is granted the key when the first releases.
+func BenchmarkRealLockContended(b *testing.B) {
+	m := locks.NewManager()
+	hot := locks.Key{Table: "kv", Row: "hot"}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first, second := msg.TxnID(uint64(2*i+1)), msg.TxnID(uint64(2*i+2))
+		m.Acquire(first, hot, locks.Exclusive)
+		if m.Acquire(second, hot, locks.Exclusive) {
+			b.Fatal("hot key granted twice")
+		}
+		if m.FindCycle(second) != nil {
+			b.Fatal("cycle on a single wait")
+		}
+		if len(m.Release(first)) != 1 {
+			b.Fatal("waiter not granted")
+		}
+		m.Release(second)
+	}
+}
+
 // BenchmarkRealBTree measures ordered-table point operations.
 func BenchmarkRealBTree(b *testing.B) {
 	t := btree.New[int]()

@@ -12,6 +12,8 @@ package locks
 
 import (
 	"fmt"
+	"hash/maphash"
+	"iter"
 	"slices"
 
 	"specdb/internal/msg"
@@ -142,43 +144,127 @@ type waiter struct {
 	upgrade bool
 }
 
+// holder is one transaction's grant on an entry.
+type holder struct {
+	txn  msg.TxnID
+	mode Mode
+}
+
+// entry is one key's lock. It carries its own key and hash, so a
+// transaction's held list reaches it, orders it, reports grants on it and
+// unlinks it from the table without hashing the key again. An entry has a
+// handful of holders at most, so a slice scan beats a map.
 type entry struct {
-	holders map[msg.TxnID]Mode
+	key     Key
+	hash    uint64
+	holders []holder
 	queue   []waiter
+	// prev and next link the entries whose keys share a hash.
+	prev, next *entry
+}
+
+// holderIndex returns txn's position in e.holders, or -1.
+func (e *entry) holderIndex(txn msg.TxnID) int {
+	for i, h := range e.holders {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// popWaiter drops the head of the queue in place, so the queue keeps its
+// capacity across recycles.
+func (e *entry) popWaiter() {
+	e.queue = e.queue[:copy(e.queue, e.queue[1:])]
+}
+
+// byKey orders entries by compareKeys.
+func byKey(a, b *entry) int { return compareKeys(a.key, b.key) }
+
+// txnState is what the manager tracks for one transaction: the entries it
+// holds, in grant order, and the entry it is queued on, if any.
+type txnState struct {
+	held    []*entry
+	waiting *entry
 }
 
 // Manager is one partition's lock table.
 type Manager struct {
-	table map[Key]*entry
-	// held tracks every key held per transaction, for release.
-	held map[msg.TxnID]map[Key]Mode
-	// waitingOn maps a blocked transaction to the key it is queued for.
-	waitingOn map[msg.TxnID]Key
-	stats     Stats
+	// table maps a key's hash to the chain of live entries with that hash.
+	// Hashing a Key once per request, rather than once per map operation,
+	// is what makes a granted lock cost one key hash.
+	table map[uint64]*entry
+	seed  maphash.Seed
+	txns  map[msg.TxnID]*txnState
+	stats Stats
 
-	// freeEntries and freeHeld recycle emptied lock entries and per-txn held
-	// maps. Every transaction acquires and fully releases a handful of row
-	// locks, and without recycling each acquire/release cycle re-allocates
-	// the entry, its holders map and the held map — the lock manager was a
-	// top allocator in whole-run profiles, the opposite of the paper's
-	// "much lower overhead than traditional locking" claim (§4.3).
+	// last caches txns[lastTxn]: a fragment requests its locks back to back,
+	// so most Acquires find their transaction here.
+	lastTxn msg.TxnID
+	last    *txnState
+
+	// rangeEntries lists the range entries currently in the table, in
+	// creation order. While it is empty — every run without scans — the
+	// point path takes no overlap checks and behaves byte-identically to a
+	// range-free manager.
+	rangeEntries []*entry
+
+	// freeEntries and freeTxns recycle emptied lock entries and transaction
+	// states, with their slices' capacity. Every transaction acquires and
+	// fully releases a handful of row locks, and a warm acquire/release
+	// cycle allocates nothing: the paper's "much lower overhead than
+	// traditional locking" (§4.3) should not be spent in the allocator.
 	freeEntries []*entry
-	freeHeld    []map[Key]Mode
-	// scratch reuses Release's deterministic key-ordering buffer.
-	scratch []Key
+	freeTxns    []*txnState
 
-	// rangeKeys lists the range keys currently in the table. While it is
-	// empty — every run without scans — the point path takes no overlap
-	// checks and behaves byte-identically to a range-free manager.
-	rangeKeys []Key
+	// Scratch reused by drainAll and FindCycle, so that a block that finds
+	// no cycle allocates nothing.
+	pending []*entry
+	visited map[msg.TxnID]bool
+	path    []msg.TxnID
+	edges   []msg.TxnID
 }
 
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
-		table:     make(map[Key]*entry),
-		held:      make(map[msg.TxnID]map[Key]Mode),
-		waitingOn: make(map[msg.TxnID]Key),
+		table:   make(map[uint64]*entry),
+		seed:    maphash.MakeSeed(),
+		txns:    make(map[msg.TxnID]*txnState),
+		visited: make(map[msg.TxnID]bool),
+	}
+}
+
+// hashKey hashes k under the manager's seed.
+func (m *Manager) hashKey(k Key) uint64 {
+	h := maphash.String(m.seed, k.Row) ^ 0x9e3779b97f4a7c15*maphash.String(m.seed, k.Table)
+	if k.IsRange {
+		h ^= 0xc2b2ae3d27d4eb4f*maphash.String(m.seed, k.Hi) + 1
+	}
+	return h
+}
+
+// lookup returns the entry for k, hashed to h, or nil.
+func (m *Manager) lookup(k Key, h uint64) *entry {
+	for e := m.table[h]; e != nil; e = e.next {
+		if e.key == k {
+			return e
+		}
+	}
+	return nil
+}
+
+// entries yields every live entry, in no particular order.
+func (m *Manager) entries() iter.Seq[*entry] {
+	return func(yield func(*entry) bool) {
+		for _, e := range m.table {
+			for ; e != nil; e = e.next {
+				if !yield(e) {
+					return
+				}
+			}
+		}
 	}
 }
 
@@ -189,130 +275,178 @@ func (m *Manager) Stats() Stats { return m.stats }
 func (m *Manager) Active() bool { return len(m.table) > 0 }
 
 // HeldCount returns how many keys txn currently holds.
-func (m *Manager) HeldCount(txn msg.TxnID) int { return len(m.held[txn]) }
+func (m *Manager) HeldCount(txn msg.TxnID) int {
+	if st := m.txns[txn]; st != nil {
+		return len(st.held)
+	}
+	return 0
+}
 
 // Holds reports whether txn holds k at least in the given mode.
 func (m *Manager) Holds(txn msg.TxnID, k Key, mode Mode) bool {
-	got, ok := m.held[txn][k]
-	return ok && (got == Exclusive || mode == Shared)
+	e := m.lookup(k, m.hashKey(k))
+	if e == nil {
+		return false
+	}
+	i := e.holderIndex(txn)
+	return i >= 0 && (e.holders[i].mode == Exclusive || mode == Shared)
 }
 
 // Waiting reports whether txn is queued for some lock.
 func (m *Manager) Waiting(txn msg.TxnID) bool {
-	_, ok := m.waitingOn[txn]
-	return ok
+	st := m.txns[txn]
+	return st != nil && st.waiting != nil
 }
 
 // Acquire requests k in the given mode for txn. It returns true if the lock
 // was granted immediately; false means txn is now queued and must suspend
-// until a Grant for it is returned by Release or Remove.
+// until a later Release returns a Grant for it (or txn is itself released,
+// which cancels the wait).
 func (m *Manager) Acquire(txn msg.TxnID, k Key, mode Mode) bool {
 	m.stats.Acquires++
-	if m.Waiting(txn) {
+	st := m.last
+	if st == nil || m.lastTxn != txn {
+		st = m.txns[txn]
+		m.lastTxn, m.last = txn, st
+	}
+	if st != nil && st.waiting != nil {
 		panic("locks: Acquire while already waiting")
 	}
-	e := m.table[k]
-	if e == nil {
-		if n := len(m.freeEntries); n > 0 {
-			e = m.freeEntries[n-1]
-			m.freeEntries = m.freeEntries[:n-1]
-		} else {
-			e = &entry{holders: make(map[msg.TxnID]Mode)}
-		}
-		m.table[k] = e
-		if k.IsRange {
-			m.rangeKeys = append(m.rangeKeys, k)
+	var e *entry
+	if st != nil && len(st.held) > 0 && st.held[len(st.held)-1].key == k {
+		// A second request for the row txn locked last (a read, then a
+		// write of the same row) needs no table lookup.
+		e = st.held[len(st.held)-1]
+	} else {
+		h := m.hashKey(k)
+		if e = m.lookup(k, h); e == nil {
+			e = m.newEntry(k, h)
 		}
 	}
-	if cur, holds := e.holders[txn]; holds {
-		if cur == Exclusive || mode == Shared {
+	if i := e.holderIndex(txn); i >= 0 {
+		if e.holders[i].mode == Exclusive || mode == Shared {
 			m.stats.Immediate++
 			return true // reentrant, already sufficient
 		}
 		// Upgrade request.
 		m.stats.Upgrades++
-		if len(e.holders) == 1 && !m.conflictsElsewhere(txn, k, Exclusive) {
-			e.holders[txn] = Exclusive
-			m.held[txn][k] = Exclusive
+		if len(e.holders) == 1 && !m.conflictsElsewhere(txn, e, Exclusive) {
+			e.holders[i].mode = Exclusive
 			m.stats.Immediate++
 			return true
 		}
 		// Queue the upgrade ahead of ordinary waiters.
-		e.queue = append([]waiter{{txn: txn, mode: Exclusive, upgrade: true}}, e.queue...)
-		m.waitingOn[txn] = k
+		e.queue = slices.Insert(e.queue, 0, waiter{txn: txn, mode: Exclusive, upgrade: true})
+		st.waiting = e
 		m.stats.Waits++
 		return false
 	}
-	if len(e.queue) == 0 && m.compatibleWithHolders(e, mode) && !m.conflictsElsewhere(txn, k, mode) {
-		m.grant(e, txn, k, mode)
+	if st == nil {
+		st = m.newTxn(txn)
+	}
+	if len(e.queue) == 0 && compatibleWithHolders(e, mode) && !m.conflictsElsewhere(txn, e, mode) {
+		grant(st, e, txn, mode)
 		m.stats.Immediate++
 		return true
 	}
 	e.queue = append(e.queue, waiter{txn: txn, mode: mode})
-	m.waitingOn[txn] = k
+	st.waiting = e
 	m.stats.Waits++
 	return false
 }
 
-func (m *Manager) compatibleWithHolders(e *entry, mode Mode) bool {
-	for _, hm := range e.holders {
-		if !compatible(mode, hm) {
+func (m *Manager) newEntry(k Key, h uint64) *entry {
+	var e *entry
+	if n := len(m.freeEntries); n > 0 {
+		e = m.freeEntries[n-1]
+		m.freeEntries = m.freeEntries[:n-1]
+	} else {
+		e = &entry{}
+	}
+	e.key, e.hash = k, h
+	if head := m.table[h]; head != nil {
+		e.next, head.prev = head, e
+	}
+	m.table[h] = e
+	if k.IsRange {
+		m.rangeEntries = append(m.rangeEntries, e)
+	}
+	return e
+}
+
+func (m *Manager) newTxn(txn msg.TxnID) *txnState {
+	var st *txnState
+	if n := len(m.freeTxns); n > 0 {
+		st = m.freeTxns[n-1]
+		m.freeTxns = m.freeTxns[:n-1]
+	} else {
+		st = &txnState{}
+	}
+	m.txns[txn] = st
+	m.lastTxn, m.last = txn, st
+	return st
+}
+
+func compatibleWithHolders(e *entry, mode Mode) bool {
+	for _, h := range e.holders {
+		if !compatible(mode, h.mode) {
 			return false
 		}
 	}
 	return true
 }
 
-// conflictsElsewhere reports whether a request on k conflicts with a holder of
-// a *different*, overlapping key: a point request landing inside a held range,
-// or a range request overlapping held points and ranges. With no range keys in
-// the table there is nothing to overlap (point keys only meet at equality,
-// which is the same entry) and the check is one length comparison — the point
-// path stays exactly as fast and as ordered as before ranges existed. Only
-// holder existence matters, so iterating Go's unordered maps is deterministic.
-func (m *Manager) conflictsElsewhere(txn msg.TxnID, k Key, mode Mode) bool {
-	if len(m.rangeKeys) == 0 {
+// conflictsElsewhere reports whether a request on e conflicts with a holder
+// of a *different*, overlapping key: a point request landing inside a held
+// range, or a range request overlapping held points and ranges. With no range
+// keys in the table there is nothing to overlap (point keys only meet at
+// equality, which is the same entry) and the check is one length comparison —
+// the point path stays exactly as fast and as ordered as before ranges
+// existed.
+func (m *Manager) conflictsElsewhere(txn msg.TxnID, e *entry, mode Mode) bool {
+	if len(m.rangeEntries) == 0 {
 		return false
 	}
-	for _, rk := range m.rangeKeys {
-		if rk == k || !overlaps(k, rk) {
-			continue
-		}
-		for h, hm := range m.table[rk].holders {
-			if h != txn && !compatible(mode, hm) {
-				return true
-			}
-		}
-	}
-	if !k.IsRange {
-		return false
-	}
-	for pk, e := range m.table {
-		if pk.IsRange || pk == k || !overlaps(k, pk) {
-			continue
-		}
-		for h, hm := range e.holders {
-			if h != txn && !compatible(mode, hm) {
-				return true
-			}
-		}
+	for range m.crossBlockers(txn, e, mode) {
+		return true
 	}
 	return false
 }
 
-func (m *Manager) grant(e *entry, txn msg.TxnID, k Key, mode Mode) {
-	e.holders[txn] = mode
-	hm := m.held[txn]
-	if hm == nil {
-		if n := len(m.freeHeld); n > 0 {
-			hm = m.freeHeld[n-1]
-			m.freeHeld = m.freeHeld[:n-1]
-		} else {
-			hm = make(map[Key]Mode)
+// crossBlockers yields the holders, other than txn, of keys that overlap e's
+// key without being it and hold a mode incompatible with mode: holders of
+// overlapping ranges and, for a range request, of overlapping points. A
+// transaction holding several such keys is yielded once per key. The order
+// follows Go's unordered table map, so callers use only existence or sort.
+func (m *Manager) crossBlockers(txn msg.TxnID, e *entry, mode Mode) iter.Seq[msg.TxnID] {
+	return func(yield func(msg.TxnID) bool) {
+		blockers := func(o *entry) bool {
+			for _, h := range o.holders {
+				if h.txn != txn && !compatible(mode, h.mode) && !yield(h.txn) {
+					return false
+				}
+			}
+			return true
 		}
-		m.held[txn] = hm
+		for _, re := range m.rangeEntries {
+			if re != e && overlaps(e.key, re.key) && !blockers(re) {
+				return
+			}
+		}
+		if !e.key.IsRange {
+			return
+		}
+		for pe := range m.entries() {
+			if !pe.key.IsRange && pe != e && overlaps(e.key, pe.key) && !blockers(pe) {
+				return
+			}
+		}
 	}
-	hm[k] = mode
+}
+
+func grant(st *txnState, e *entry, txn msg.TxnID, mode Mode) {
+	e.holders = append(e.holders, holder{txn: txn, mode: mode})
+	st.held = append(st.held, e)
 }
 
 // Release releases every lock held by txn and removes any queued request it
@@ -321,39 +455,37 @@ func (m *Manager) grant(e *entry, txn msg.TxnID, k Key, mode Mode) {
 // release.
 func (m *Manager) Release(txn msg.TxnID) []Grant {
 	var grants []Grant
-	ranged := len(m.rangeKeys) > 0
-	// Cancel a pending wait first.
-	if k, ok := m.waitingOn[txn]; ok {
-		e := m.table[k]
-		for i, w := range e.queue {
-			if w.txn == txn {
-				e.queue = append(e.queue[:i], e.queue[i+1:]...)
-				break
+	ranged := len(m.rangeEntries) > 0
+	if st := m.txns[txn]; st != nil {
+		// Cancel a pending wait first.
+		if e := st.waiting; e != nil {
+			for i, w := range e.queue {
+				if w.txn == txn {
+					e.queue = append(e.queue[:i], e.queue[i+1:]...)
+					break
+				}
 			}
+			st.waiting = nil
+			grants = m.drainQueue(e, grants)
+			m.maybeFree(e)
 		}
-		delete(m.waitingOn, txn)
-		grants = m.drainQueue(e, k, grants)
-		m.maybeFree(k, e)
-	}
-	// Sort keys: deterministic grant order keeps whole-system runs
-	// reproducible (map iteration order is randomized).
-	keys := m.scratch[:0]
-	for k := range m.held[txn] {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, compareKeys)
-	for _, k := range keys {
-		e := m.table[k]
-		delete(e.holders, txn)
-		m.stats.Releases++
-		grants = m.drainQueue(e, k, grants)
-		m.maybeFree(k, e)
-	}
-	m.scratch = keys
-	if hm := m.held[txn]; hm != nil {
-		delete(m.held, txn)
-		clear(hm)
-		m.freeHeld = append(m.freeHeld, hm)
+		// Release in key order: deterministic grant order keeps whole-system
+		// runs reproducible.
+		slices.SortFunc(st.held, byKey)
+		for _, e := range st.held {
+			i := e.holderIndex(txn)
+			e.holders = slices.Delete(e.holders, i, i+1)
+			m.stats.Releases++
+			grants = m.drainQueue(e, grants)
+			m.maybeFree(e)
+		}
+		delete(m.txns, txn)
+		if m.last == st {
+			m.last = nil
+		}
+		clear(st.held)
+		st.held = st.held[:0]
+		m.freeTxns = append(m.freeTxns, st)
 	}
 	if ranged {
 		// Releasing range coverage can unblock waiters queued on *other*
@@ -368,27 +500,26 @@ func (m *Manager) Release(txn msg.TxnID) []Grant {
 // drainAll repeatedly sweeps every queued entry in sorted key order, granting
 // whatever has become grantable under the overlap rule, until a full pass
 // grants nothing. Only invoked when range keys are (or were just) in play.
+// A pass frees only the entry it is draining, so every pending entry is still
+// in the table when its turn comes.
 func (m *Manager) drainAll(grants []Grant) []Grant {
 	for {
-		var pending []Key
-		for k, e := range m.table {
+		pending := m.pending[:0]
+		for e := range m.entries() {
 			if len(e.queue) > 0 {
-				pending = append(pending, k)
+				pending = append(pending, e)
 			}
 		}
+		m.pending = pending
 		if len(pending) == 0 {
 			return grants
 		}
-		slices.SortFunc(pending, compareKeys)
+		slices.SortFunc(pending, byKey)
 		progress := false
-		for _, k := range pending {
-			e := m.table[k]
-			if e == nil {
-				continue
-			}
+		for _, e := range pending {
 			before := len(grants)
-			grants = m.drainQueue(e, k, grants)
-			m.maybeFree(k, e)
+			grants = m.drainQueue(e, grants)
+			m.maybeFree(e)
 			if len(grants) > before {
 				progress = true
 			}
@@ -399,62 +530,75 @@ func (m *Manager) drainAll(grants []Grant) []Grant {
 	}
 }
 
-// drainQueue grants as many queued requests as now fit, in FIFO order.
-func (m *Manager) drainQueue(e *entry, k Key, grants []Grant) []Grant {
+// drainQueue grants as many queued requests on e as now fit, in FIFO order.
+func (m *Manager) drainQueue(e *entry, grants []Grant) []Grant {
 	for len(e.queue) > 0 {
 		w := e.queue[0]
 		if w.upgrade {
 			// Grantable only when w.txn is the sole holder.
-			if len(e.holders) == 1 && !m.conflictsElsewhere(w.txn, k, Exclusive) {
-				if _, ok := e.holders[w.txn]; ok {
-					e.holders[w.txn] = Exclusive
-					m.held[w.txn][k] = Exclusive
-					delete(m.waitingOn, w.txn)
-					grants = append(grants, Grant{Txn: w.txn, K: k, Mode: Exclusive})
-					e.queue = e.queue[1:]
-					continue
-				}
+			if len(e.holders) == 1 && e.holders[0].txn == w.txn && !m.conflictsElsewhere(w.txn, e, Exclusive) {
+				e.holders[0].mode = Exclusive
+				m.txns[w.txn].waiting = nil
+				grants = append(grants, Grant{Txn: w.txn, K: e.key, Mode: Exclusive})
+				e.popWaiter()
+				continue
 			}
 			return grants
 		}
-		if !m.compatibleWithHolders(e, w.mode) || m.conflictsElsewhere(w.txn, k, w.mode) {
+		if !compatibleWithHolders(e, w.mode) || m.conflictsElsewhere(w.txn, e, w.mode) {
 			return grants
 		}
-		m.grant(e, w.txn, k, w.mode)
-		delete(m.waitingOn, w.txn)
-		grants = append(grants, Grant{Txn: w.txn, K: k, Mode: w.mode})
-		e.queue = e.queue[1:]
+		st := m.txns[w.txn]
+		grant(st, e, w.txn, w.mode)
+		st.waiting = nil
+		grants = append(grants, Grant{Txn: w.txn, K: e.key, Mode: w.mode})
+		e.popWaiter()
 	}
 	return grants
 }
 
-func (m *Manager) maybeFree(k Key, e *entry) {
-	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(m.table, k)
-		if k.IsRange {
-			for i, rk := range m.rangeKeys {
-				if rk == k {
-					m.rangeKeys = append(m.rangeKeys[:i], m.rangeKeys[i+1:]...)
-					break
-				}
-			}
-		}
-		// holders is already empty and the queue drained, so the entry —
-		// map and queue capacity included — is ready for the next acquire.
-		m.freeEntries = append(m.freeEntries, e)
+// maybeFree unlinks e from the table once nobody holds or awaits it, and
+// recycles it.
+func (m *Manager) maybeFree(e *entry) {
+	if len(e.holders) > 0 || len(e.queue) > 0 {
+		return
 	}
+	switch {
+	case e.prev != nil:
+		e.prev.next = e.next
+	case e.next != nil:
+		m.table[e.hash] = e.next
+	default:
+		delete(m.table, e.hash)
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next = nil, nil
+	if e.key.IsRange {
+		if i := slices.Index(m.rangeEntries, e); i >= 0 {
+			m.rangeEntries = slices.Delete(m.rangeEntries, i, i+1)
+		}
+	}
+	e.key = Key{}
+	m.freeEntries = append(m.freeEntries, e)
 }
 
 // WaitsFor returns the transactions that txn is directly waiting on: holders
 // of the contested lock with an incompatible mode, plus incompatible requests
 // queued ahead of it.
 func (m *Manager) WaitsFor(txn msg.TxnID) []msg.TxnID {
-	k, ok := m.waitingOn[txn]
-	if !ok {
-		return nil
+	return m.appendWaitsFor(nil, txn)
+}
+
+// appendWaitsFor appends WaitsFor(txn) to dst.
+func (m *Manager) appendWaitsFor(dst []msg.TxnID, txn msg.TxnID) []msg.TxnID {
+	st := m.txns[txn]
+	if st == nil || st.waiting == nil {
+		return dst
 	}
-	e := m.table[k]
-	var pos int = -1
+	e := st.waiting
+	pos := -1
 	var mode Mode
 	for i, w := range e.queue {
 		if w.txn == txn {
@@ -463,91 +607,69 @@ func (m *Manager) WaitsFor(txn msg.TxnID) []msg.TxnID {
 		}
 	}
 	if pos < 0 {
-		return nil
+		return dst
 	}
-	var out []msg.TxnID
-	for h, hm := range e.holders {
-		if h == txn {
+	lo := len(dst)
+	for _, h := range e.holders {
+		if h.txn == txn {
 			continue // upgrade: we hold S ourselves
 		}
-		if !compatible(mode, hm) || mode == Exclusive {
-			out = append(out, h)
+		if !compatible(mode, h.mode) || mode == Exclusive {
+			dst = append(dst, h.txn)
 		}
 	}
 	// Cross-entry edges: holders of overlapping range keys (and, for a range
 	// request, overlapping point keys) block this request just like holders
 	// of the contested entry do.
-	if len(m.rangeKeys) > 0 {
-		for _, rk := range m.rangeKeys {
-			if rk == k || !overlaps(k, rk) {
-				continue
-			}
-			for h, hm := range m.table[rk].holders {
-				if h != txn && !compatible(mode, hm) {
-					out = append(out, h)
-				}
-			}
-		}
-		if k.IsRange {
-			for pk, pe := range m.table {
-				if pk.IsRange || pk == k || !overlaps(k, pk) {
-					continue
-				}
-				for h, hm := range pe.holders {
-					if h != txn && !compatible(mode, hm) {
-						out = append(out, h)
-					}
-				}
-			}
-		}
+	for h := range m.crossBlockers(txn, e, mode) {
+		dst = append(dst, h)
 	}
-	// Deterministic edge order (holders are maps).
-	slices.Sort(out)
-	out = slices.Compact(out)
+	// Deterministic edge order: holders in ascending ID, then queued
+	// requests in queue order.
+	slices.Sort(dst[lo:])
+	dst = dst[:lo+len(slices.Compact(dst[lo:]))]
 	for i := 0; i < pos; i++ {
 		w := e.queue[i]
 		if w.txn != txn && (!compatible(mode, w.mode) || mode == Exclusive) {
-			out = append(out, w.txn)
+			dst = append(dst, w.txn)
 		}
 	}
-	return out
+	return dst
 }
 
 // FindCycle searches the waits-for graph from start and returns the
 // transactions forming a cycle that includes blocked transactions, or nil.
 // It is invoked each time a transaction blocks, per §4.3 ("cycle detection to
-// handle local deadlocks").
+// handle local deadlocks"). The search is a recursive DFS over the manager's
+// scratch; only a found cycle is copied out.
 func (m *Manager) FindCycle(start msg.TxnID) []msg.TxnID {
-	// Iterative DFS with path tracking. The graph is tiny (bounded by
-	// concurrently active transactions at one partition).
-	onPath := map[msg.TxnID]bool{}
-	var path []msg.TxnID
-	var dfs func(t msg.TxnID) []msg.TxnID
-	visited := map[msg.TxnID]bool{}
-	dfs = func(t msg.TxnID) []msg.TxnID {
-		if onPath[t] {
-			// Extract the cycle suffix.
-			for i, p := range path {
-				if p == t {
-					return append([]msg.TxnID(nil), path[i:]...)
-				}
-			}
-			return append([]msg.TxnID(nil), path...)
-		}
-		if visited[t] {
-			return nil
-		}
-		visited[t] = true
-		onPath[t] = true
-		path = append(path, t)
-		for _, next := range m.WaitsFor(t) {
-			if cyc := dfs(next); cyc != nil {
-				return cyc
-			}
-		}
-		path = path[:len(path)-1]
-		onPath[t] = false
+	clear(m.visited)
+	m.path = m.path[:0]
+	m.edges = m.edges[:0]
+	return m.dfs(start)
+}
+
+// dfs visits t. Each level appends t's out-edges to m.edges and reads them
+// by index, since deeper levels append after them and truncate back.
+func (m *Manager) dfs(t msg.TxnID) []msg.TxnID {
+	// The path is as deep as the longest wait chain at one partition, so a
+	// scan of it is the on-path test.
+	if i := slices.Index(m.path, t); i >= 0 {
+		return slices.Clone(m.path[i:])
+	}
+	if m.visited[t] {
 		return nil
 	}
-	return dfs(start)
+	m.visited[t] = true
+	m.path = append(m.path, t)
+	lo := len(m.edges)
+	m.edges = m.appendWaitsFor(m.edges, t)
+	for i, hi := lo, len(m.edges); i < hi; i++ {
+		if cyc := m.dfs(m.edges[i]); cyc != nil {
+			return cyc
+		}
+	}
+	m.edges = m.edges[:lo]
+	m.path = m.path[:len(m.path)-1]
+	return nil
 }
