@@ -96,18 +96,16 @@ func observe(m lockTable) string {
 // agree in order.
 func sameTables(t *testing.T, m *Manager, ref *refManager) {
 	t.Helper()
-	n := 0
-	for e := range m.entries() {
-		if e.hash != m.hashKey(e.key) || m.lookup(e.key, e.hash) != e {
-			t.Fatalf("entry for %v mislinked", e.key)
+	for k, e := range m.table {
+		if e.key != k {
+			t.Fatalf("entry for %v stored under %v", e.key, k)
 		}
-		n++
 	}
-	if n != len(ref.table) {
-		t.Fatalf("table has %d entries, reference %d", n, len(ref.table))
+	if len(m.table) != len(ref.table) {
+		t.Fatalf("table has %d entries, reference %d", len(m.table), len(ref.table))
 	}
 	for k, re := range ref.table {
-		e := m.lookup(k, m.hashKey(k))
+		e := m.table[k]
 		if e == nil {
 			t.Fatalf("entry for %v missing", k)
 		}

@@ -12,7 +12,6 @@ package locks
 
 import (
 	"fmt"
-	"hash/maphash"
 	"iter"
 	"slices"
 
@@ -150,17 +149,13 @@ type holder struct {
 	mode Mode
 }
 
-// entry is one key's lock. It carries its own key and hash, so a
-// transaction's held list reaches it, orders it, reports grants on it and
-// unlinks it from the table without hashing the key again. An entry has a
-// handful of holders at most, so a slice scan beats a map.
+// entry is one key's lock. It carries its own key, so a transaction's held
+// list reaches it, orders it and reports grants on it without a table lookup.
+// An entry has a handful of holders at most, so a slice scan beats a map.
 type entry struct {
 	key     Key
-	hash    uint64
 	holders []holder
 	queue   []waiter
-	// prev and next link the entries whose keys share a hash.
-	prev, next *entry
 }
 
 // holderIndex returns txn's position in e.holders, or -1.
@@ -191,18 +186,12 @@ type txnState struct {
 
 // Manager is one partition's lock table.
 type Manager struct {
-	// table maps a key's hash to the chain of live entries with that hash.
-	// Hashing a Key once per request, rather than once per map operation,
-	// is what makes a granted lock cost one key hash.
-	table map[uint64]*entry
-	seed  maphash.Seed
+	// table holds the live entries by key. A request hashes its key once to
+	// look it up, and once more to insert a new entry; Release reaches held
+	// entries by pointer and hashes a key only to delete a freed entry.
+	table map[Key]*entry
 	txns  map[msg.TxnID]*txnState
 	stats Stats
-
-	// last caches txns[lastTxn]: a fragment requests its locks back to back,
-	// so most Acquires find their transaction here.
-	lastTxn msg.TxnID
-	last    *txnState
 
 	// rangeEntries lists the range entries currently in the table, in
 	// creation order. While it is empty — every run without scans — the
@@ -229,42 +218,9 @@ type Manager struct {
 // NewManager returns an empty lock table.
 func NewManager() *Manager {
 	return &Manager{
-		table:   make(map[uint64]*entry),
-		seed:    maphash.MakeSeed(),
+		table:   make(map[Key]*entry),
 		txns:    make(map[msg.TxnID]*txnState),
 		visited: make(map[msg.TxnID]bool),
-	}
-}
-
-// hashKey hashes k under the manager's seed.
-func (m *Manager) hashKey(k Key) uint64 {
-	h := maphash.String(m.seed, k.Row) ^ 0x9e3779b97f4a7c15*maphash.String(m.seed, k.Table)
-	if k.IsRange {
-		h ^= 0xc2b2ae3d27d4eb4f*maphash.String(m.seed, k.Hi) + 1
-	}
-	return h
-}
-
-// lookup returns the entry for k, hashed to h, or nil.
-func (m *Manager) lookup(k Key, h uint64) *entry {
-	for e := m.table[h]; e != nil; e = e.next {
-		if e.key == k {
-			return e
-		}
-	}
-	return nil
-}
-
-// entries yields every live entry, in no particular order.
-func (m *Manager) entries() iter.Seq[*entry] {
-	return func(yield func(*entry) bool) {
-		for _, e := range m.table {
-			for ; e != nil; e = e.next {
-				if !yield(e) {
-					return
-				}
-			}
-		}
 	}
 }
 
@@ -284,7 +240,7 @@ func (m *Manager) HeldCount(txn msg.TxnID) int {
 
 // Holds reports whether txn holds k at least in the given mode.
 func (m *Manager) Holds(txn msg.TxnID, k Key, mode Mode) bool {
-	e := m.lookup(k, m.hashKey(k))
+	e := m.table[k]
 	if e == nil {
 		return false
 	}
@@ -304,24 +260,13 @@ func (m *Manager) Waiting(txn msg.TxnID) bool {
 // which cancels the wait).
 func (m *Manager) Acquire(txn msg.TxnID, k Key, mode Mode) bool {
 	m.stats.Acquires++
-	st := m.last
-	if st == nil || m.lastTxn != txn {
-		st = m.txns[txn]
-		m.lastTxn, m.last = txn, st
-	}
+	st := m.txns[txn]
 	if st != nil && st.waiting != nil {
 		panic("locks: Acquire while already waiting")
 	}
-	var e *entry
-	if st != nil && len(st.held) > 0 && st.held[len(st.held)-1].key == k {
-		// A second request for the row txn locked last (a read, then a
-		// write of the same row) needs no table lookup.
-		e = st.held[len(st.held)-1]
-	} else {
-		h := m.hashKey(k)
-		if e = m.lookup(k, h); e == nil {
-			e = m.newEntry(k, h)
-		}
+	e := m.table[k]
+	if e == nil {
+		e = m.newEntry(k)
 	}
 	if i := e.holderIndex(txn); i >= 0 {
 		if e.holders[i].mode == Exclusive || mode == Shared {
@@ -355,7 +300,7 @@ func (m *Manager) Acquire(txn msg.TxnID, k Key, mode Mode) bool {
 	return false
 }
 
-func (m *Manager) newEntry(k Key, h uint64) *entry {
+func (m *Manager) newEntry(k Key) *entry {
 	var e *entry
 	if n := len(m.freeEntries); n > 0 {
 		e = m.freeEntries[n-1]
@@ -363,11 +308,8 @@ func (m *Manager) newEntry(k Key, h uint64) *entry {
 	} else {
 		e = &entry{}
 	}
-	e.key, e.hash = k, h
-	if head := m.table[h]; head != nil {
-		e.next, head.prev = head, e
-	}
-	m.table[h] = e
+	e.key = k
+	m.table[k] = e
 	if k.IsRange {
 		m.rangeEntries = append(m.rangeEntries, e)
 	}
@@ -383,7 +325,6 @@ func (m *Manager) newTxn(txn msg.TxnID) *txnState {
 		st = &txnState{}
 	}
 	m.txns[txn] = st
-	m.lastTxn, m.last = txn, st
 	return st
 }
 
@@ -436,7 +377,7 @@ func (m *Manager) crossBlockers(txn msg.TxnID, e *entry, mode Mode) iter.Seq[msg
 		if !e.key.IsRange {
 			return
 		}
-		for pe := range m.entries() {
+		for _, pe := range m.table {
 			if !pe.key.IsRange && pe != e && overlaps(e.key, pe.key) && !blockers(pe) {
 				return
 			}
@@ -480,9 +421,6 @@ func (m *Manager) Release(txn msg.TxnID) []Grant {
 			m.maybeFree(e)
 		}
 		delete(m.txns, txn)
-		if m.last == st {
-			m.last = nil
-		}
 		clear(st.held)
 		st.held = st.held[:0]
 		m.freeTxns = append(m.freeTxns, st)
@@ -505,7 +443,7 @@ func (m *Manager) Release(txn msg.TxnID) []Grant {
 func (m *Manager) drainAll(grants []Grant) []Grant {
 	for {
 		pending := m.pending[:0]
-		for e := range m.entries() {
+		for _, e := range m.table {
 			if len(e.queue) > 0 {
 				pending = append(pending, e)
 			}
@@ -557,24 +495,13 @@ func (m *Manager) drainQueue(e *entry, grants []Grant) []Grant {
 	return grants
 }
 
-// maybeFree unlinks e from the table once nobody holds or awaits it, and
+// maybeFree deletes e from the table once nobody holds or awaits it, and
 // recycles it.
 func (m *Manager) maybeFree(e *entry) {
 	if len(e.holders) > 0 || len(e.queue) > 0 {
 		return
 	}
-	switch {
-	case e.prev != nil:
-		e.prev.next = e.next
-	case e.next != nil:
-		m.table[e.hash] = e.next
-	default:
-		delete(m.table, e.hash)
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	e.prev, e.next = nil, nil
+	delete(m.table, e.key)
 	if e.key.IsRange {
 		if i := slices.Index(m.rangeEntries, e); i >= 0 {
 			m.rangeEntries = slices.Delete(m.rangeEntries, i, i+1)

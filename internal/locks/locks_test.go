@@ -364,35 +364,3 @@ func TestBlockWithoutCycleAllocatesNothing(t *testing.T) {
 		t.Fatalf("a block that finds no cycle allocates %.1f times", avg)
 	}
 }
-
-// TestHashChains links keys that share a hash into one chain and unlinks them
-// from the middle, the head and the tail. Real key hashes practically never
-// collide, so this is the only test that walks a chain.
-func TestHashChains(t *testing.T) {
-	m := NewManager()
-	keys := []Key{ka, kb, {Table: "u", Row: "a"}, {Table: "t", Row: "a", Hi: "b", IsRange: true}}
-	var es []*entry
-	for _, k := range keys {
-		es = append(es, m.newEntry(k, 7)) // each new entry becomes the head
-	}
-	freed := map[int]bool{}
-	for _, i := range []int{1, 3, 0, 2} { // middle, head, tail, last
-		m.maybeFree(es[i])
-		freed[i] = true
-		n := 0
-		for range m.entries() {
-			n++
-		}
-		if n != len(keys)-len(freed) {
-			t.Fatalf("%d entries linked after freeing %d of %d", n, len(freed), len(keys))
-		}
-		for j, k := range keys {
-			if got := m.lookup(k, 7); (got == nil) != freed[j] || (got != nil && got != es[j]) {
-				t.Fatalf("after freeing %v: lookup(%v) = %p, want %p (freed: %v)", keys[i], k, got, es[j], freed[j])
-			}
-		}
-	}
-	if m.Active() || len(m.rangeEntries) != 0 {
-		t.Fatal("table not empty after freeing every entry")
-	}
-}
