@@ -171,12 +171,15 @@ type DB struct {
 	clientIDs []sim.ActorID
 	collector *metrics.Collector
 	// loggers holds each partition's command log (nil entries — and a nil
-	// slice — when durability is off). restarters holds the crash-restart
+	// slice — when durability is off). restarterIDs holds the crash-restart
 	// actors, indexed by partition; entries exist only for partitions with a
 	// scheduled CrashRestart fault.
 	loggers      []*durable.Logger
-	restarters   []*replication.Restarter
 	restarterIDs []sim.ActorID
+	// standbys lists, per partition, every actor that can take it over, in
+	// the order they are asked who serves it: its backups, then its
+	// restarter.
+	standbys [][]*replication.Takeover
 	// faultCtlID is the fault-injection controller actor (0 when the run
 	// has no fault schedule).
 	faultCtlID sim.ActorID
@@ -332,6 +335,7 @@ func Open(opts ...Option) (*DB, error) {
 	// Backups.
 	db.backups = make([][]*replication.Backup, cfg.partitions)
 	db.backupIDs = make([][]sim.ActorID, cfg.partitions)
+	db.standbys = make([][]*replication.Takeover, cfg.partitions)
 	for p := 0; p < cfg.partitions; p++ {
 		var ids []sim.ActorID
 		for r := 1; r < cfg.replicas; r++ {
@@ -351,6 +355,7 @@ func Open(opts ...Option) (*DB, error) {
 			b.Bind(id)
 			ids = append(ids, id)
 			db.backups[p] = append(db.backups[p], b)
+			db.standbys[p] = append(db.standbys[p], b.Takeover)
 		}
 		db.backupIDs[p] = ids
 		db.parts[p].SetBackups(ids)
@@ -373,13 +378,7 @@ func Open(opts ...Option) (*DB, error) {
 	db.coord.Rec = db.collector
 	db.coordID = db.sch.Register("coordinator", db.coord) // on shard 0
 	db.coord.Bind(db.coordID)
-	for p := range db.backups {
-		for _, b := range db.backups[p] {
-			b.Coordinator = db.coordID
-		}
-	}
 	// Restarters, for partitions with a scheduled crash-restart fault.
-	db.restarters = make([]*replication.Restarter, cfg.partitions)
 	db.restarterIDs = make([]sim.ActorID, cfg.partitions)
 	for _, ev := range cfg.faults {
 		if ev.Kind != fault.KindCrashRestart {
@@ -388,24 +387,21 @@ func Open(opts ...Option) (*DB, error) {
 		p := int(ev.Partition)
 		r := replication.NewRestarter(db.loggers[p], cfg.registry, &db.costModel, db.net)
 		r.Partition = ev.Partition
-		r.Coordinator = db.coordID
 		r.Rec = db.collector
 		id := db.sch.Register(fmt.Sprintf("restarter-%d", p), r)
 		db.sch.Assign(id, db.groupShard(p))
 		r.Bind(id)
-		db.restarters[p] = r
 		db.restarterIDs[p] = id
+		db.standbys[p] = append(db.standbys[p], r.Takeover)
 	}
 
 	// Bind partition engines.
 	factory := db.engineFactory(cfg.scheme)
 	for p := 0; p < cfg.partitions; p++ {
 		db.parts[p].Bind(db.partIDs[p], factory)
-		for _, b := range db.backups[p] {
-			b.EngineFactory = factory
-		}
-		if r := db.restarters[p]; r != nil {
-			r.EngineFactory = factory
+		for _, s := range db.standbys[p] {
+			s.Coordinator = db.coordID
+			s.EngineFactory = factory
 		}
 	}
 	db.shapeWorkload(cfg.workload)
@@ -573,13 +569,8 @@ func (db *DB) ensureStarted() {
 // original primary, or — after a failover or crash-restart — the promoted
 // backup's or restarted process's inner partition.
 func (db *DB) livePrimary(p int) *partition.Partition {
-	for _, b := range db.backups[p] {
-		if inner := b.Promoted(); inner != nil {
-			return inner
-		}
-	}
-	if r := db.restarters[p]; r != nil {
-		if inner := r.Promoted(); inner != nil {
+	for _, s := range db.standbys[p] {
+		if inner := s.Promoted(); inner != nil {
 			return inner
 		}
 	}
@@ -590,30 +581,22 @@ func (db *DB) livePrimary(p int) *partition.Partition {
 // original primary's actor, or the promoted backup's / restarter's (their
 // Receive delegates normal partition traffic to the inner process).
 func (db *DB) livePrimaryID(p int) sim.ActorID {
-	for i, b := range db.backups[p] {
-		if b.Promoted() != nil {
-			return db.backupIDs[p][i]
+	for _, s := range db.standbys[p] {
+		if s.Promoted() != nil {
+			return s.Self()
 		}
-	}
-	if r := db.restarters[p]; r != nil && r.Promoted() != nil {
-		return db.restarterIDs[p]
 	}
 	return db.partIDs[p]
 }
 
 // partBusy returns partition p's cumulative virtual CPU time, folding a
 // promoted backup's or restarted process's actor on top of the dead
-// primary's (the same fold Result's utilization uses).
+// primary's.
 func (db *DB) partBusy(p int) Time {
 	busy := db.sch.BusyTime(db.partIDs[p])
-	if db.livePrimary(p) != db.parts[p] {
-		for i, b := range db.backups[p] {
-			if b.Promoted() != nil {
-				busy += db.sch.BusyTime(db.backupIDs[p][i])
-			}
-		}
-		if r := db.restarters[p]; r != nil && r.Promoted() != nil {
-			busy += db.sch.BusyTime(db.restarterIDs[p])
+	for _, s := range db.standbys[p] {
+		if s.Promoted() != nil {
+			busy += db.sch.BusyTime(s.Self())
 		}
 	}
 	return busy
@@ -886,12 +869,9 @@ func (db *DB) setScheme(sc Scheme, auto bool) error {
 		}
 	}
 	factory := db.engineFactory(sc)
-	for p := range db.backups {
-		for _, b := range db.backups[p] {
-			b.EngineFactory = factory
-		}
-		if r := db.restarters[p]; r != nil {
-			r.EngineFactory = factory
+	for _, ss := range db.standbys {
+		for _, s := range ss {
+			s.EngineFactory = factory
 		}
 	}
 	for p := range db.parts {
@@ -965,13 +945,10 @@ func (db *DB) quiescent() bool {
 		return false
 	}
 	for p := range db.parts {
-		for _, b := range db.backups[p] {
-			if b.Recovering() {
+		for _, s := range db.standbys[p] {
+			if s.Recovering() {
 				return false
 			}
-		}
-		if r := db.restarters[p]; r != nil && r.Recovering() {
-			return false
 		}
 		if !db.livePrimary(p).Quiescent() {
 			return false

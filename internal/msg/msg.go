@@ -6,7 +6,10 @@
 // avoid complications caused by data transfer time", §5.1).
 package msg
 
-import "specdb/internal/sim"
+import (
+	"specdb/internal/sim"
+	"specdb/internal/storage"
+)
 
 // TxnID identifies a transaction. Client-issued IDs place the client's actor
 // ID in the high bits so IDs are globally unique without coordination.
@@ -243,14 +246,8 @@ type RecoveryOutcome struct {
 
 // --- Elastic repartitioning (live key-range migration) ---
 
-// MigRow is one row in flight during a key-range migration: the table it
-// lives in, its key, and its value (a reference, like every simulated
-// payload — rows are copy-on-write, so the reference is safe to share).
-type MigRow struct {
-	Table string
-	Key   string
-	Val   any
-}
+// MigRow is one row in flight during a key-range migration.
+type MigRow = storage.Row
 
 // MigrateOut starts a key-range migration at the donor partition. The facade
 // sends it at a drained quiescent point (no transaction in flight anywhere),

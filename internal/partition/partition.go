@@ -466,17 +466,7 @@ func (p *Partition) migrateOut(ctx *sim.Context, m *msg.MigrateOut) {
 	if !p.Quiescent() {
 		panic(fmt.Sprintf("partition %d: migration while not quiescent", p.cfg.ID))
 	}
-	var rows []msg.MigRow
-	for _, tbl := range p.cfg.Store.TableNames() {
-		t := p.cfg.Store.Table(tbl)
-		t.Ascend(m.Lo, m.Hi, func(k string, v any) bool {
-			rows = append(rows, msg.MigRow{Table: tbl, Key: k, Val: v})
-			return true
-		})
-	}
-	for _, r := range rows {
-		p.cfg.Store.Table(r.Table).Delete(r.Key)
-	}
+	rows := p.cfg.Store.CutRange(m.Lo, m.Hi)
 	p.spendCtx(ctx, m.Cost)
 	if p.cfg.Logger != nil {
 		p.cfg.Logger.AppendMigrationOut(ctx, m.Lo, m.Hi)
@@ -498,9 +488,7 @@ func (p *Partition) migrateIn(ctx *sim.Context, m *msg.MigrateIn) {
 	if !p.Quiescent() {
 		panic(fmt.Sprintf("partition %d: migration while not quiescent", p.cfg.ID))
 	}
-	for _, r := range m.Rows {
-		p.cfg.Store.Table(r.Table).Put(r.Key, r.Val)
-	}
+	p.cfg.Store.InstallRows(m.Rows)
 	p.spendCtx(ctx, m.Cost)
 	if p.cfg.Logger != nil {
 		p.cfg.Logger.AppendMigrationIn(ctx, m.Rows)

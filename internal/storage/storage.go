@@ -253,6 +253,37 @@ func (s *Store) ApproxBytes() uint64 {
 	return n
 }
 
+// Row is one row lifted out of a store: the table it lives in, its key, and
+// its value (a reference — rows are copy-on-write, so sharing it is safe).
+type Row struct {
+	Table string
+	Key   string
+	Val   any
+}
+
+// CutRange deletes every row with lo <= key < hi from every table and
+// returns them, table by table in registration order, keys ascending.
+func (s *Store) CutRange(lo, hi string) []Row {
+	var rows []Row
+	for _, name := range s.order {
+		s.tables[name].Ascend(lo, hi, func(k string, v any) bool {
+			rows = append(rows, Row{Table: name, Key: k, Val: v})
+			return true
+		})
+	}
+	for _, r := range rows {
+		s.tables[r.Table].Delete(r.Key)
+	}
+	return rows
+}
+
+// InstallRows puts rows into their tables.
+func (s *Store) InstallRows(rows []Row) {
+	for _, r := range rows {
+		s.tables[r.Table].Put(r.Key, r.Val)
+	}
+}
+
 // DiffStores compares two stores key-for-key, returning a descriptive error
 // for the first divergence found (table sets, row counts, keys, or values —
 // values compared by their fmt representation, matching Fingerprint's

@@ -259,21 +259,12 @@ func (db *DB) Result() Result {
 	}
 	for p := range db.parts {
 		stats := db.parts[p].EngineTotals()
-		busy := db.sch.BusyTime(db.partIDs[p])
 		if live := db.livePrimary(p); live != db.parts[p] {
-			// Failed-over partition: fold in the promoted engine's work
-			// (and its actor's busy time) on top of the dead primary's
-			// pre-crash counters.
+			// Failed-over partition: fold in the promoted engine's work on
+			// top of the dead primary's pre-crash counters.
 			stats = stats.Add(live.EngineTotals())
-			for i, b := range db.backups[p] {
-				if b.Promoted() != nil {
-					busy += db.sch.BusyTime(db.backupIDs[p][i])
-				}
-			}
-			if r := db.restarters[p]; r != nil && r.Promoted() != nil {
-				busy += db.sch.BusyTime(db.restarterIDs[p])
-			}
 		}
+		busy := db.partBusy(p)
 		res.EngineStats = append(res.EngineStats, stats)
 		if elapsed > 0 {
 			res.PartUtilization = append(res.PartUtilization, float64(busy)/float64(elapsed))
